@@ -11,9 +11,8 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
-from . import deformation, fixtures, kinematics, tissue_gen
+from . import deformation, kinematics, tissue_gen
 from .errors import HandforgeError, SchemaViolation
 from .landmarks import (
     LANDMARK_NAMES,
@@ -83,7 +82,7 @@ def _load_template_set(template_dir: Path, topology) -> BoneTemplateSet:
     return BoneTemplateSet(meshes=meshes, landmarks=lms)
 
 
-def _load_topology(cfg: dict, template_dir: Path):
+def _load_topology(template_dir: Path):
     topo_file = template_dir / "topology.json"
     if topo_file.is_file():
         try:
@@ -118,7 +117,7 @@ def validate(config_path):
     _read_landmarks(_config_path(cfg, "landmarks"), "target")
     click.echo("landmarks: 25 entries, schema OK")
     template_dir = _config_path(cfg, "template_dir")
-    topology = _load_topology(cfg, template_dir)
+    topology = _load_topology(template_dir)
     templates = _load_template_set(template_dir, topology)
     click.echo(f"template: {len(templates.meshes)} bone meshes, landmarks OK")
     if "tube" in cfg:
@@ -143,7 +142,7 @@ def fit_bones(config_path, out_dir, fmt):
     out = Path(out_dir or cfg.get("out_dir", "."))
     out.mkdir(parents=True, exist_ok=True)
     template_dir = _config_path(cfg, "template_dir")
-    topology = _load_topology(cfg, template_dir)
+    topology = _load_topology(template_dir)
     templates = _load_template_set(template_dir, topology)
     target = _read_landmarks(_config_path(cfg, "landmarks"), "target")
     ext = {"stl_binary": ".stl", "stl_ascii": ".stl", "obj": ".obj"}[fmt]
@@ -183,7 +182,7 @@ def gen_tissue(config_path, bone_id, sigma, out_dir):
     if "sigma" not in tube_cfg:
         raise click.UsageError("no sigma given (flag --sigma or config tube.sigma)")
     try:
-        spec = tissue_gen.TubeSpec(**{**tube_cfg, "region": bone_id})
+        spec = tissue_gen.TubeSpec(**tube_cfg)
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"invalid tube spec: {exc}")
     out = Path(out_dir or cfg.get("out_dir", "."))
@@ -277,17 +276,19 @@ def simulate(config_path, design_ids, displacement_max, steps, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        for name, cfg in presets.items():
-            traj = kinematics.sweep_trajectory(cfg, dmax, nsteps)
-            rows = ["displacement,y,z"]
-            rows += [
-                f"{d!r},{p[0]!r},{p[1]!r}"
-                for d, p in zip(traj.displacements, traj.points)
-            ]
-            (out / f"trajectory_{name}.csv").write_text("\n".join(rows) + "\n")
-        report = kinematics.compare_designs(list(presets.values()), dmax, nsteps)
+        trajectories = {
+            name: kinematics.sweep_trajectory(cfg, dmax, nsteps) for name, cfg in presets.items()
+        }
     except HandforgeError as exc:
         raise click.ClickException(str(exc))
+    for name, traj in trajectories.items():
+        rows = ["displacement,y,z"]
+        rows += [
+            ",".join(repr(float(x)) for x in (d, *p))
+            for d, p in zip(traj.displacements, traj.points)
+        ]
+        (out / f"trajectory_{name}.csv").write_text("\n".join(rows) + "\n")
+    report = kinematics.compare_designs(trajectories)
     (out / "comparison.json").write_text(json.dumps(report, indent=2) + "\n")
     for name in report["ranking"]:
         m = report["designs"][name]

@@ -140,9 +140,7 @@ def write_demo(out_dir: str | Path, scale: float = 1.0, mesh_format: str = "stl_
         "landmarks": str(out_dir / "target_landmarks.json"),
         "template_dir": str(template_dir),
         "out_dir": str(out_dir / "output"),
-        "curves": str(out_dir / "curves.csv"),
         "tube": {"sigma": 0.4, "support_count": 4, "support_radius": 0.5},
-        "seed": 0,
     }
     (out_dir / "config.json").write_text(json.dumps(config, indent=2) + "\n")
     return config

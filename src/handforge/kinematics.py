@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -25,6 +25,8 @@ from .errors import NonConvergence
 STAGE_WEIGHTS = (2.0, 1.0, 1.0)
 DEFAULT_LIMITS = (1.57, 1.92, 1.22)  # MCP, PIP, DIP flexion limits, rad
 STAGE_IDS = ("proximal", "intermediate", "distal")
+RESIDUAL_TARGET = 1e-9  # mm, largest cable-length residual a solve may return
+MAX_BISECTIONS = 300  # the float64 bracket stops shrinking after about 60
 
 
 @dataclass
@@ -140,14 +142,16 @@ def _angles_at(cfg: FingerConfig, mu: float):
     return out
 
 
-def solve_flexion(cfg: FingerConfig, cable_displacement: float,
-                  residual_target: float = 1e-9, max_iter: int = 300) -> JointState:
+def solve_flexion(cfg: FingerConfig, cable_displacement: float) -> JointState:
     """Joint angles of minimum elastic energy matching the cable displacement.
 
     Solved by bisecting the constraint multiplier (the multiplier-to-angles
-    map is continuous and monotone), then polishing one interior joint so
-    the constraint residual drops below residual_target. Displacements
-    beyond the all-limits excursion return the all-limits pose, saturated.
+    map is continuous and monotone) until the bracket stops shrinking, then
+    polishing one interior joint so the constraint residual drops below
+    RESIDUAL_TARGET. Displacements beyond the all-limits excursion return
+    the all-limits pose, saturated. Raises NonConvergence, naming the
+    design, if the multiplier cannot be bracketed or the residual stays
+    above RESIDUAL_TARGET.
     """
     if cable_displacement < 0:
         raise ValueError("cable displacement must be >= 0")
@@ -156,28 +160,29 @@ def solve_flexion(cfg: FingerConfig, cable_displacement: float,
     lmax = max_displacement(cfg)
     if cable_displacement > lmax:
         return JointState(*cfg.limits, saturated=True)
+    name = cfg.design_id or "finger"
     lo, hi = 0.0, 1.0
     grow = 0
     while _distal_length(cfg, _angles_at(cfg, hi)) < cable_displacement:
         hi *= 2.0
         grow += 1
         if grow > 200:
-            raise NonConvergence("multiplier bracket failed to expand")
-    for _ in range(max_iter):
+            raise NonConvergence(f"{name}: multiplier bracket failed to expand")
+    for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # f(lo) < target <= f(hi) always, so no later step moves either end
         if _distal_length(cfg, _angles_at(cfg, mid)) < cable_displacement:
             lo = mid
         else:
             hi = mid
     phis = _angles_at(cfg, hi)
     residual = cable_displacement - _distal_length(cfg, phis)
-    if abs(residual) > residual_target:
+    if abs(residual) > RESIDUAL_TARGET:
         phis = _polish(cfg, phis, cable_displacement)
         residual = cable_displacement - _distal_length(cfg, phis)
-    if abs(residual) > residual_target:
-        raise NonConvergence(
-            f"{cfg.design_id or 'finger'}: residual {residual:.3e} mm after polishing"
-        )
+    if abs(residual) > RESIDUAL_TARGET:
+        raise NonConvergence(f"{name}: residual {residual:.3e} mm after polishing")
     return JointState(*phis)
 
 
@@ -236,18 +241,12 @@ def trajectory_metrics(traj: Trajectory) -> dict:
     }
 
 
-def compare_designs(configs: list[FingerConfig], displacement_max: float, steps: int) -> dict:
-    """Per-design trajectory metrics, ranked by minimum fingertip y
-    (deeper flexion first)."""
-    if not configs:
-        raise ValueError("need at least one finger configuration")
-    per_design = {}
-    for cfg in configs:
-        try:
-            traj = sweep_trajectory(cfg, displacement_max, steps)
-        except NonConvergence as exc:
-            raise NonConvergence(f"{cfg.design_id}: {exc}") from None
-        per_design[cfg.design_id] = trajectory_metrics(traj)
+def compare_designs(trajectories: dict[str, Trajectory]) -> dict:
+    """Trajectory metrics of precomputed sweeps keyed by design id, ranked
+    by minimum fingertip y (deeper flexion first)."""
+    if not trajectories:
+        raise ValueError("need at least one trajectory")
+    per_design = {name: trajectory_metrics(traj) for name, traj in trajectories.items()}
     ranking = sorted(per_design, key=lambda d: per_design[d]["min_y"])
     return {"designs": per_design, "ranking": ranking}
 

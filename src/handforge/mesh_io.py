@@ -289,12 +289,7 @@ def _parse_obj(data: bytes) -> TriangleMesh:
 def detect_format(data: bytes) -> str:
     """Heuristic format detection: binary STL by facet-count consistency,
     ASCII STL by the leading 'solid' token plus facet records, else OBJ."""
-    if len(data) >= STL_HEADER_SIZE + 4:
-        (count,) = struct.unpack_from("<I", data, STL_HEADER_SIZE)
-        if STL_HEADER_SIZE + 4 + STL_FACET_SIZE * count == len(data) and not data.lstrip().startswith(b"solid"):
-            return "stl_binary"
-    stripped = data.lstrip()
-    if stripped.startswith(b"solid") and b"facet" in data:
+    if data.lstrip().startswith(b"solid") and b"facet" in data:
         return "stl_ascii"
     if len(data) >= STL_HEADER_SIZE + 4:
         (count,) = struct.unpack_from("<I", data, STL_HEADER_SIZE)

@@ -114,14 +114,8 @@ def fit_template(
     target_landmarks: LandmarkSet,
 ) -> dict[str, TriangleMesh]:
     """Fit every template bone to the target landmarks, one transform per bone."""
-    fitted = {}
-    for bone_id in topology.bone_ids:
-        t = estimate_transform(
-            bone_frame(templates.landmarks, topology, bone_id),
-            bone_frame(target_landmarks, topology, bone_id),
-        )
-        fitted[bone_id] = apply_transform(templates.meshes[bone_id], t)
-    return fitted
+    transforms = estimate_all_transforms(templates, topology, target_landmarks)
+    return {b: apply_transform(templates.meshes[b], t) for b, t in transforms.items()}
 
 
 def estimate_all_transforms(

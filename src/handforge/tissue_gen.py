@@ -35,7 +35,6 @@ class TubeSpec:
     sigma: float
     support_count: int = 4
     support_radius: float = 0.5
-    region: str = ""
 
     def __post_init__(self):
         if not self.sigma > 0:
@@ -214,9 +213,7 @@ def build_concentric_tube(skin_segment: TriangleMesh, bone: TriangleMesh, spec: 
     inner.name = "shell_inner"
     shell = ShellModel(outer=outer, inner=inner)
     shell.recompute_volume()
-    if spec.support_count > 0:
-        shell = add_supports(shell, spec)
-    return shell
+    return add_supports(shell, spec)
 
 
 def _long_axis(mesh: TriangleMesh) -> np.ndarray:
@@ -258,7 +255,7 @@ def add_supports(shell: ShellModel, spec: TubeSpec) -> ShellModel:
             cylinder(origin + ti * direction, origin + to * direction,
                      spec.support_radius, name=f"strut_{k}")
         )
-    merged = merge_meshes([shell.supports] + struts, "supports") if len(shell.supports.faces) else merge_meshes(struts, "supports")
+    merged = merge_meshes([shell.supports] + struts, "supports")
     out = ShellModel(outer=shell.outer, inner=shell.inner, supports=merged)
     out.recompute_volume()
     return out

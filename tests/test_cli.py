@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from handforge import fixtures
+from handforge import fixtures, kinematics
 from handforge.cli import main
 
 
@@ -181,6 +181,26 @@ class TestSimulate:
     def test_single_step_rejected(self, tmp_path):
         result = run("simulate", "--steps", "1", "--out", str(tmp_path))
         assert result.exit_code == 2
+
+    def test_csv_fields_are_plain_floats(self, tmp_path):
+        assert run("simulate", "--steps", "5", "--out", str(tmp_path)).exit_code == 0
+        for csv_path in tmp_path.glob("trajectory_*.csv"):
+            for row in csv_path.read_text().splitlines()[1:]:
+                assert [float(x) for x in row.split(",")]
+
+    def test_one_sweep_per_design(self, tmp_path, monkeypatch):
+        calls = []
+        solve = kinematics.solve_flexion
+
+        def counting_solve(cfg, cable_displacement):
+            calls.append(cfg.design_id)
+            return solve(cfg, cable_displacement)
+
+        monkeypatch.setattr(kinematics, "solve_flexion", counting_solve)
+        result = run("simulate", "--designs", "design_1,design_5",
+                     "--steps", "7", "--out", str(tmp_path))
+        assert result.exit_code == 0, result.output
+        assert sorted(calls) == ["design_1"] * 7 + ["design_5"] * 7
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

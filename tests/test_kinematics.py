@@ -234,8 +234,10 @@ class TestPresets:
 
     def test_baseline_is_shallowest(self):
         configs, meta = load_presets()
-        result = kin.compare_designs(
-            list(configs.values()), meta["displacement_max"], meta["steps"])
+        result = kin.compare_designs({
+            name: sweep_trajectory(cfg, meta["displacement_max"], meta["steps"])
+            for name, cfg in configs.items()
+        })
         assert result["ranking"][-1] == meta["baseline"]
         baseline_min = result["designs"][meta["baseline"]]["min_y"]
         for name, metrics in result["designs"].items():
