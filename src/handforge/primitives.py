@@ -169,25 +169,33 @@ def winding_numbers(mesh: TriangleMesh, points: np.ndarray) -> np.ndarray:
     return out
 
 
+def _moller_trumbore(origin, direction, tri):
+    """Moller-Trumbore (det, u, v, t) of lines origin + t*direction against
+    triangles tri[..., 3, 3], broadcast over leading axes: u, v barycentric, t
+    along the line, nan where det == 0. Each caller sets its own windows."""
+    e1 = tri[..., 1, :] - tri[..., 0, :]
+    e2 = tri[..., 2, :] - tri[..., 0, :]
+    pvec = np.cross(direction, e2)
+    det = np.einsum("...j,...j->...", e1, pvec)
+    tvec = origin - tri[..., 0, :]
+    qvec = np.cross(tvec, e1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = 1.0 / np.where(det == 0.0, np.nan, det)
+        u = np.einsum("...j,...j->...", tvec, pvec) * inv
+        v = np.einsum("...j,...j->...", direction, qvec) * inv
+        t = np.einsum("...j,...j->...", e2, qvec) * inv
+    return det, u, v, t
+
+
 def ray_hits(mesh: TriangleMesh, origin, direction) -> np.ndarray:
     """Sorted positive ray parameters t where origin + t*direction crosses
     the surface (Moller-Trumbore over all faces)."""
     origin = np.asarray(origin, dtype=np.float64)
     d = np.asarray(direction, dtype=np.float64)
-    tri = mesh.corner_points
-    e1 = tri[:, 1] - tri[:, 0]
-    e2 = tri[:, 2] - tri[:, 0]
-    pvec = np.cross(d, e2)
-    det = np.einsum("ij,ij->i", e1, pvec)
-    ok = np.abs(det) > 1e-12
-    inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-    tvec = origin - tri[:, 0]
-    u = np.einsum("ij,ij->i", tvec, pvec) * inv
-    qvec = np.cross(tvec, e1)
-    v = np.einsum("j,ij->i", d, qvec) * inv
-    t = np.einsum("ij,ij->i", e2, qvec) * inv
+    det, u, v, t = _moller_trumbore(origin, d, mesh.corner_points)
     eps = 1e-10
-    hit = ok & (u >= -eps) & (v >= -eps) & (u + v <= 1.0 + eps) & (t > 1e-9)
+    with np.errstate(invalid="ignore"):  # u + v is inf - inf only where det is ~0
+        hit = (np.abs(det) > 1e-12) & (u >= -eps) & (v >= -eps) & (u + v <= 1.0 + eps) & (t > 1e-9)
     return np.sort(t[hit])
 
 

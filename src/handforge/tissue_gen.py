@@ -3,7 +3,8 @@ outward by the wall parameter sigma, assemble the hollow shell with radial
 strut supports, and account for printable material volume.
 
 Offsetting is per-vertex along area-weighted normals; self-intersections
-are detected and reported, never repaired.
+are detected (sparse grid candidates, Moller-Trumbore edge tests) and
+reported, never repaired. The containment and gap checks test every vertex.
 """
 
 from __future__ import annotations
@@ -23,9 +24,16 @@ from .mesh_io import (
     vertex_normals,
     write_mesh,
 )
-from .primitives import cylinder, point_surface_distance, ray_hits, winding_numbers
+from .primitives import (
+    _frame_from_axis,
+    _moller_trumbore,
+    cylinder,
+    point_surface_distance,
+    ray_hits,
+    winding_numbers,
+)
 
-_CONTAINMENT_SAMPLES = 200
+_PAIR_CAP = 100
 
 
 @dataclass
@@ -74,71 +82,62 @@ class SelfIntersectionWarning(UserWarning):
         self.pairs = pairs
 
 
-def _segment_hits_triangle(p0, d, tri) -> bool:
-    """Does segment p0 -> p0+d cross triangle tri (Moller-Trumbore, 0<t<1)?"""
-    e1 = tri[1] - tri[0]
-    e2 = tri[2] - tri[0]
-    pvec = np.cross(d, e2)
-    det = np.dot(e1, pvec)
-    if abs(det) < 1e-14:
-        return False
-    inv = 1.0 / det
-    tvec = p0 - tri[0]
-    u = np.dot(tvec, pvec) * inv
-    if u < 1e-9 or u > 1 - 1e-9:
-        return False
-    qvec = np.cross(tvec, e1)
-    v = np.dot(d, qvec) * inv
-    if v < 1e-9 or u + v > 1 - 1e-9:
-        return False
-    t = np.dot(e2, qvec) * inv
-    return 1e-9 < t < 1 - 1e-9
-
-
-def find_self_intersections(mesh: TriangleMesh, max_pairs: int = 100) -> list[tuple[int, int]]:
-    """Non-adjacent face pairs whose triangles cross (edge-through-interior
-    test; exactly coplanar overlaps are not detected). Capped at max_pairs."""
-    tri = mesh.corner_points
-    lo = tri.min(axis=1)
-    hi = tri.max(axis=1)
+def _grid_cells(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(face, cell) incidences of boxes [lo, hi] on a grid of median box extent,
+    cells numbered from 0; a call of its own so its temporaries die early."""
     cell = max(float(np.median(hi - lo)), 1e-9)
-    grid: dict[tuple, list[int]] = {}
-    for i in range(len(tri)):
-        c0 = np.floor(lo[i] / cell).astype(np.int64)
-        c1 = np.floor(hi[i] / cell).astype(np.int64)
-        for x in range(c0[0], c1[0] + 1):
-            for y in range(c0[1], c1[1] + 1):
-                for z in range(c0[2], c1[2] + 1):
-                    grid.setdefault((x, y, z), []).append(i)
-    pairs = []
-    seen = set()
-    fsets = [set(f) for f in mesh.faces]
-    for bucket in grid.values():
-        for ai in range(len(bucket)):
-            for bi in range(ai + 1, len(bucket)):
-                i, j = bucket[ai], bucket[bi]
-                if (i, j) in seen:
-                    continue
-                seen.add((i, j))
-                if fsets[i] & fsets[j]:
-                    continue  # adjacent faces touch legitimately
-                if np.any(lo[i] > hi[j]) or np.any(lo[j] > hi[i]):
-                    continue
-                crossed = False
-                for a, b in ((i, j), (j, i)):
-                    for k in range(3):
-                        p0 = tri[a][k]
-                        d = tri[a][(k + 1) % 3] - p0
-                        if _segment_hits_triangle(p0, d, tri[b]):
-                            crossed = True
-                            break
-                    if crossed:
-                        break
-                if crossed:
-                    pairs.append((i, j))
-                    if len(pairs) >= max_pairs:
-                        return pairs
-    return pairs
+    c0 = np.floor(lo / cell).astype(np.int64)
+    span = np.floor(hi / cell).astype(np.int64) - c0 + 1
+    c0 -= c0.min(axis=0)
+    count = span.prod(axis=1)
+    face = np.repeat(np.arange(len(lo)), count)
+    r = np.arange(len(face)) - np.repeat(np.cumsum(count) - count, count)
+    dims = (c0 + span).max(axis=0)
+    stride = np.array([dims[1] * dims[2], dims[2], 1])
+    key = (c0 @ stride)[face]
+    for axis in (2, 1, 0):  # r enumerates each box's cells, z fastest
+        n = span[face, axis]
+        key += r % n * stride[axis]
+        r //= n
+    return face, np.unique(key, return_inverse=True)[1]
+
+
+def find_self_intersections(mesh: TriangleMesh, max_pairs: int = _PAIR_CAP) -> list[tuple[int, int]]:
+    """Non-adjacent face pairs (i, j), i < j, whose triangles cross: an edge of
+    one passes through the other's interior (exactly coplanar overlaps are not
+    detected). Sorted and cut to the first max_pairs, so the count is exact
+    below the cap. Faces whose bounding boxes overlap share a grid cell, so the
+    candidates are the pairs of the sparse face x cell incidence product."""
+    from scipy import sparse
+
+    faces = mesh.faces
+    if len(faces) == 0:
+        return []
+    tri = mesh.corner_points
+    lo, hi = tri.min(axis=1), tri.max(axis=1)
+    face, cell = _grid_cells(lo, hi)
+    incidence = sparse.csr_matrix((np.ones(len(face), dtype=np.int32), (face, cell)))
+    candidates = sparse.triu(incidence @ incidence.T, k=1).tocoo()
+    i, j = candidates.row, candidates.col
+    # adjacent faces touch legitimately
+    fi = faces[i]
+    apart = np.ones(len(i), dtype=bool)
+    for k in range(3):
+        apart &= (fi != faces[j, k][:, None]).all(axis=1)
+    i, j = i[apart], j[apart]
+    overlap = np.all(lo[i] <= hi[j], axis=1) & np.all(lo[j] <= hi[i], axis=1)
+    i, j = i[overlap], j[overlap]
+    crossed = np.zeros(len(i), dtype=bool)
+    for a, b in ((i, j), (j, i)):
+        for k in range(3):
+            p0 = tri[a, k]
+            det, u, v, t = _moller_trumbore(p0, tri[a, (k + 1) % 3] - p0, tri[b])
+            with np.errstate(invalid="ignore"):  # u + v is inf - inf only where det is ~0
+                crossed |= ((np.abs(det) >= 1e-14) & (u >= 1e-9) & (u <= 1 - 1e-9) & (v >= 1e-9)
+                            & (u + v <= 1 - 1e-9) & (t > 1e-9) & (t < 1 - 1e-9))
+    i, j = i[crossed], j[crossed]
+    order = np.lexsort((j, i))[:max_pairs]
+    return list(zip(i[order].tolist(), j[order].tolist()))
 
 
 def offset_surface(mesh: TriangleMesh, delta: float, check_intersections: bool = True) -> TriangleMesh:
@@ -161,9 +160,10 @@ def offset_surface(mesh: TriangleMesh, delta: float, check_intersections: bool =
     if check_intersections:
         pairs = find_self_intersections(out)
         if pairs:
+            more = "+" if len(pairs) >= _PAIR_CAP else ""
             warnings.warn(
                 SelfIntersectionWarning(
-                    f"offset by {delta} mm self-intersects at {len(pairs)}+ face pairs", pairs
+                    f"offset by {delta} mm self-intersects at {len(pairs)}{more} face pairs", pairs
                 ),
                 stacklevel=2,
             )
@@ -173,13 +173,6 @@ def offset_surface(mesh: TriangleMesh, delta: float, check_intersections: bool =
 def _min_feature_size(mesh: TriangleMesh) -> float:
     extent = mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)
     return float(np.median(extent))
-
-
-def _sample_vertices(mesh: TriangleMesh, count: int, seed: int = 0) -> np.ndarray:
-    if len(mesh.vertices) <= count:
-        return mesh.vertices
-    idx = np.random.default_rng(seed).choice(len(mesh.vertices), size=count, replace=False)
-    return mesh.vertices[idx]
 
 
 def _require_watertight(mesh: TriangleMesh, label: str):
@@ -195,18 +188,16 @@ def build_concentric_tube(skin_segment: TriangleMesh, bone: TriangleMesh, spec: 
     """Build the hollow shell between skin-minus-sigma and bone-plus-sigma."""
     _require_watertight(skin_segment, "skin segment")
     _require_watertight(bone, "bone")
-    sample = _sample_vertices(bone, _CONTAINMENT_SAMPLES)
-    if np.any(winding_numbers(skin_segment, sample) < 0.5):
+    if np.any(winding_numbers(skin_segment, bone.vertices) < 0.5):
         raise ContainmentError("bone is not strictly inside the skin segment")
-    gap = float(point_surface_distance(skin_segment, sample).min())
+    gap = float(point_surface_distance(skin_segment, bone.vertices).min())
     if spec.sigma >= gap / 2.0:
         raise GapTooSmall(
             f"sigma {spec.sigma} mm >= half the minimum skin-to-bone gap {gap:.3f} mm"
         )
     outer = offset_surface(skin_segment, -spec.sigma)
     inner_outward = offset_surface(bone, +spec.sigma)
-    inner_sample = _sample_vertices(inner_outward, _CONTAINMENT_SAMPLES)
-    if np.any(winding_numbers(outer, inner_sample) < 0.5):
+    if np.any(winding_numbers(outer, inner_outward.vertices) < 0.5):
         raise GapTooSmall("offset surfaces collide: inner wall reaches the outer wall")
     outer.name = "shell_outer"
     inner = inner_outward.flipped()
@@ -232,12 +223,8 @@ def add_supports(shell: ShellModel, spec: TubeSpec) -> ShellModel:
     if spec.support_count == 0:
         return shell
     inner_outward = shell.inner.flipped()
-    axis = _long_axis(shell.outer)
     origin = inner_outward.vertices.mean(axis=0)
-    seed = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    u = np.cross(seed, axis)
-    u /= np.linalg.norm(u)
-    v = np.cross(axis, u)
+    u, v, _ = _frame_from_axis(_long_axis(shell.outer))
     struts = []
     for k in range(spec.support_count):
         ang = 2.0 * np.pi * k / spec.support_count

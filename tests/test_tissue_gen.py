@@ -86,6 +86,18 @@ class TestSelfIntersections:
             tg.offset_surface(merged, 1e-6)
         assert len(rec[0].message.pairs) > 0
 
+    @pytest.mark.parametrize("other, capped", [
+        (primitives.cube(2.0, center=(10.0, 0.0, 0.0)), False),
+        (primitives.icosphere(10.0, 3, center=(3.0, 0.1, 0.2)), True),
+    ])
+    def test_warning_count_marks_cap(self, other, capped):
+        merged = mio.merge_meshes([primitives.icosphere(10.0, 3), other])
+        with pytest.warns(SelfIntersectionWarning) as rec:
+            tg.offset_surface(merged, 1e-6)
+        n = len(rec[0].message.pairs)
+        assert (n == 100) == capped
+        assert f"at {n}{'+' if capped else ''} face pairs" in str(rec[0].message)
+
 
 class TestBuildTube:
     def test_shell_volume_vs_analytic(self, ico10_4, bone):
@@ -116,6 +128,13 @@ class TestBuildTube:
         stray = primitives.icosphere(5.0, 3, center=(20.0, 0.0, 0.0))
         with pytest.raises(ContainmentError):
             tg.build_concentric_tube(skin, stray, TubeSpec(sigma=0.4, support_count=0))
+
+    def test_every_bone_vertex_checked(self, ico10_4):
+        # one of 2,562 vertices pokes through the 10 mm skin
+        stray = primitives.icosphere(5.0, 4)
+        stray.vertices[0] *= 12.0 / 5.0
+        with pytest.raises(ContainmentError):
+            tg.build_concentric_tube(ico10_4, stray, TubeSpec(sigma=0.4, support_count=0))
 
     def test_hollow_lighter_than_solid(self, ico10_4, bone):
         shell = tg.build_concentric_tube(ico10_4, bone, TubeSpec(sigma=0.4))
