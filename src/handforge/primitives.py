@@ -1,8 +1,10 @@
 """Synthetic mesh construction and low-level geometric queries.
 
 Shapes (cube, icosphere, cylinder, capsule, convex hull) serve as test
-oracles, template bones and demo fixtures. The query helpers (winding
-numbers, ray casting, plane clipping) back the tissue-shell builder.
+oracles, template bones and demo fixtures. The query helpers back the
+tissue-shell builder: winding numbers and point-surface distances answer
+through a face BVH (`_MeshIndex`; exact, not approximated), and ray casting
+and plane clipping scan every face.
 """
 
 from __future__ import annotations
@@ -149,24 +151,183 @@ def convex_hull_mesh(points: np.ndarray, name="hull") -> TriangleMesh:
 # --------------------------------------------------------------------------
 # queries
 
+_LEAF = 8  # faces per BVH leaf
+_CHUNK = 32  # query points per traversal
+_ROWS = 8192  # (point, triangle) rows per kernel call
+
+
+def _solid_angles(q, a, b, c):
+    """Signed solid angle 2 atan2(det, denom) of triangles (a, b, c) seen from
+    q, row by row (van Oosterom form). The arithmetic is the per-face loop's
+    it replaced, so a point on a face or edge, where rounding sets the term,
+    gets the same term."""
+    a, b, c = a - q, b - q, c - q
+    la, lb, lc = (np.linalg.norm(x, axis=1) for x in (a, b, c))
+    det = np.einsum("ij,ij->i", a, np.cross(b, c))
+    denom = (la * lb * lc + np.einsum("ij,ij->i", a, b) * lc
+             + np.einsum("ij,ij->i", b, c) * la + np.einsum("ij,ij->i", c, a) * lb)
+    return 2.0 * np.arctan2(det, denom)
+
+
+def _closest_distances(q, a, b, c):
+    """Distance from q to the closest point of triangle (a, b, c), row by row:
+    Ericson's Voronoi regions, each later region overriding the earlier ones.
+    The arithmetic is the per-face loop's it replaced, bit for bit."""
+    def nonzero(x):
+        return np.where(np.abs(x) < 1e-300, 1.0, x)
+
+    ab, ac = b - a, c - a
+    d1, d2, d3, d4, d5, d6 = (np.einsum("ij,ij->i", e, p) for p in (q - a, q - b, q - c) for e in (ab, ac))
+    va, vb, vc = d3 * d6 - d5 * d4, d5 * d2 - d1 * d6, d1 * d4 - d3 * d2
+    denom = nonzero(va + vb + vc)
+    closest = a + (vb / denom)[:, None] * ab + (vc / denom)[:, None] * ac
+    for region, point in (
+        ((d1 <= 0) & (d2 <= 0), a),
+        ((d3 >= 0) & (d4 <= d3), b),
+        ((d6 >= 0) & (d5 <= d6), c),
+        ((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + np.clip(d1 / nonzero(d1 - d3), 0, 1)[:, None] * ab),
+        ((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + np.clip(d2 / nonzero(d2 - d6), 0, 1)[:, None] * ac),
+        ((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0),
+         b + np.clip((d4 - d3) / nonzero((d4 - d3) + (d5 - d6)), 0, 1)[:, None] * (c - b)),
+    ):
+        closest = np.where(region[:, None], point, closest)
+    return np.linalg.norm(closest - q, axis=1)
+
+
+def _per_row(kernel, q, pt, corners, coords) -> np.ndarray:
+    """kernel(q[pt], a, b, c) over the triangles coords[corners], _ROWS rows at a time."""
+    out = np.empty(len(pt))
+    for s in range(0, len(pt), _ROWS):
+        tri = coords[corners[s:s + _ROWS]]
+        out[s:s + _ROWS] = kernel(q[pt[s:s + _ROWS]], tri[:, 0], tri[:, 1], tri[:, 2])
+    return out
+
+
+def _box_distance(q, lo, hi) -> np.ndarray:
+    return np.linalg.norm(np.maximum(np.maximum(lo - q, q - hi), 0.0), axis=1)
+
+
+class _MeshIndex:
+    """Face BVH: an implicit binary tree (root 1, children 2n and 2n + 1) whose
+    leaves hold _LEAF faces each in the Morton (Z-curve) order of the face
+    centroids, padded with empty leaves to a power of two. Boxes are reduced
+    bottom-up, and each node keeps a representative vertex (one of its first
+    face); empty slots and nodes get the inverted box (inf, -inf) and inf."""
+
+    def __init__(self, mesh: TriangleMesh):
+        self.vertices, self.faces = mesh.vertices, mesh.faces
+        tri = mesh.corner_points
+        self.depth = (max(1, -(-len(tri) // _LEAF)) - 1).bit_length()
+        n = 1 << self.depth
+        cen = tri.mean(axis=1)
+        lo = cen.min(axis=0, initial=np.inf)
+        cell = (cen - lo) * (1023.0 / max(float((cen.max(axis=0, initial=-np.inf) - lo).max(initial=0.0)), 1e-300))
+        code = sum((((cell.astype(np.int64) >> bit) & 1) @ [4, 2, 1]) << (3 * bit) for bit in range(10))
+        slots = np.full(n * _LEAF, -1)
+        slots[:len(tri)] = np.argsort(code, kind="stable")
+        self.leaf_faces = slots.reshape(n, _LEAF)
+        pad = np.full((1, 3), np.inf)  # read by slot -1
+        self.face_lo, self.face_hi = np.vstack([tri.min(axis=1), pad]), np.vstack([tri.max(axis=1), -pad])
+        self.lo, self.hi, self.rep = (np.empty((2 * n, 3)) for _ in range(3))
+        self.lo[n:], self.hi[n:] = self.face_lo[self.leaf_faces].min(axis=1), self.face_hi[self.leaf_faces].max(axis=1)
+        self.rep[n:] = np.vstack([tri[:, 0], pad])[self.leaf_faces[:, 0]]
+        while n > 1:
+            n //= 2
+            self.lo[n:2 * n] = np.minimum(self.lo[2 * n:4 * n:2], self.lo[2 * n + 1:4 * n:2])
+            self.hi[n:2 * n] = np.maximum(self.hi[2 * n:4 * n:2], self.hi[2 * n + 1:4 * n:2])
+            self.rep[n:2 * n] = self.rep[2 * n:4 * n:2]
+
+    def _margin(self, points: np.ndarray) -> float:
+        """Rounding margin for box tests, relative to the coordinates' scale."""
+        return 1e-9 * (np.abs(self.vertices).max(initial=0.0) + np.abs(points).max(initial=0.0))
+
+    def _descend(self, count: int, enter):
+        """(point, face) rows for the faces of the leaves reached from the root
+        through the internal nodes where enter(pt, node) holds."""
+        pt, node = np.arange(count), np.ones(count, dtype=np.int64)
+        for _ in range(self.depth):
+            go = enter(pt, node)
+            pt, node = np.repeat(pt[go], 2), (2 * node[go, None] + [0, 1]).ravel()
+        face = self.leaf_faces[node - (1 << self.depth)]
+        return np.broadcast_to(pt[:, None], face.shape)[face >= 0], face[face >= 0]
+
+    def _fans(self):
+        """Rows fans[start[n]:start[n + 1]] = (a, b, net) per internal node n:
+        the edges a < b whose net count a -> b over n's faces is not zero, the
+        boundary of n's patch. Triangles (box centre, a, b) weighted by net
+        close the patch inside the box."""
+        f = self.faces[self.leaf_faces[self.leaf_faces >= 0]]
+        u, v = f.ravel(), f[:, [1, 2, 0]].ravel()
+        srt = np.lexsort((np.maximum(u, v), np.minimum(u, v)))  # by edge, then position
+        a, b, sign = np.minimum(u, v)[srt], np.maximum(u, v)[srt], np.where(u < v, 1, -1)[srt]
+        leaf = (1 << self.depth) + srt // (3 * _LEAF)
+        fans = [np.zeros((0, 4), dtype=np.int64)]
+        for level in range(self.depth, 0, -1):  # root first; leaves use their faces
+            node = leaf >> level
+            first = np.flatnonzero(np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1]) | (node[1:] != node[:-1])])
+            net = np.add.reduceat(sign, first)
+            fans.append(np.c_[node[first], a[first], b[first], net][net != 0])
+        fans = np.concatenate(fans)
+        fans = fans[np.argsort(fans[:, 0], kind="stable")]
+        return np.searchsorted(fans[:, 0], np.arange(len(self.lo) + 1)), fans[:, 1:].astype(np.int32)
+
+    def winding_numbers(self, points: np.ndarray) -> np.ndarray:
+        """Exact hierarchical winding numbers (Jacobson et al. 2013): a node
+        whose box, grown by the rounding margin, excludes the point adds the
+        solid angle of its closing fan; the leaves reached add their faces, so
+        a point on or near the surface meets the faces there one by one."""
+        start, fans = self._fans()
+        with np.errstate(invalid="ignore"):  # empty nodes have no fan; their nan centre is never read
+            coords = np.vstack([self.vertices, (self.lo + self.hi) / 2.0])
+        margin, out = self._margin(points), np.empty(len(points))
+        for c0 in range(0, len(points), _CHUNK):
+            q, rows = points[c0:c0 + _CHUNK], []
+
+            def enter(pt, node):
+                inside = np.all((self.lo[node] - margin <= q[pt]) & (q[pt] <= self.hi[node] + margin), axis=1)
+                far = node[~inside]
+                count = start[far + 1] - start[far]
+                fan = fans[np.repeat(start[far] - np.cumsum(count) + count, count) + np.arange(count.sum())]
+                rows.append(np.c_[np.repeat(pt[~inside], count), np.repeat(len(self.vertices) + far, count), fan])
+                return inside
+
+            pt, face = self._descend(len(q), enter)
+            rows = np.concatenate(rows + [np.c_[pt, self.faces[face], np.ones_like(pt)]])
+            angles = _per_row(_solid_angles, q, rows[:, 0], rows[:, 1:4], coords)
+            out[c0:c0 + _CHUNK] = np.bincount(rows[:, 0], angles * rows[:, 4], len(q))
+        return out / (4.0 * np.pi)
+
+    def distances(self, points: np.ndarray) -> np.ndarray:
+        """Exact closest-triangle distances: a point's bound is its distance to
+        the nearest representative vertex met so far, and the nodes and faces
+        whose boxes lie beyond it (plus a rounding margin) are pruned."""
+        margin, out = self._margin(points), np.empty(len(points))
+        for c0 in range(0, len(points), _CHUNK):
+            q = points[c0:c0 + _CHUNK]
+            bound = np.full(len(q), np.inf)
+
+            def enter(pt, node):
+                np.minimum.at(bound, pt, np.linalg.norm(self.rep[node] - q[pt], axis=1))
+                return _box_distance(q[pt], self.lo[node], self.hi[node]) <= bound[pt] + margin
+
+            pt, face = self._descend(len(q), enter)
+            keep = _box_distance(q[pt], self.face_lo[face], self.face_hi[face]) <= bound[pt] + margin
+            pt, face, best = pt[keep], face[keep], np.full(len(q), np.inf)
+            np.minimum.at(best, pt, _per_row(_closest_distances, q, pt, self.faces[face], self.vertices))
+            out[c0:c0 + _CHUNK] = best
+        return out
+
+
 def winding_numbers(mesh: TriangleMesh, points: np.ndarray) -> np.ndarray:
     """Generalized winding number of each query point (1 inside, 0 outside
-    for watertight outward-wound meshes). Solid-angle sum, van Oosterom form."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    tri = mesh.corner_points
-    out = np.empty(len(points))
-    for idx, q in enumerate(points):
-        a = tri[:, 0] - q
-        b = tri[:, 1] - q
-        c = tri[:, 2] - q
-        la = np.linalg.norm(a, axis=1)
-        lb = np.linalg.norm(b, axis=1)
-        lc = np.linalg.norm(c, axis=1)
-        det = np.einsum("ij,ij->i", a, np.cross(b, c))
-        denom = (la * lb * lc + np.einsum("ij,ij->i", a, b) * lc
-                 + np.einsum("ij,ij->i", b, c) * la + np.einsum("ij,ij->i", c, a) * lb)
-        out[idx] = np.sum(2.0 * np.arctan2(det, denom)) / (4.0 * np.pi)
-    return out
+    for watertight outward-wound meshes), summed exactly over a face BVH."""
+    return _MeshIndex(mesh).winding_numbers(np.atleast_2d(np.asarray(points, dtype=np.float64)))
+
+
+def point_surface_distance(mesh: TriangleMesh, points: np.ndarray) -> np.ndarray:
+    """Unsigned distance from each point to the closest triangle, searched
+    over a face BVH."""
+    return _MeshIndex(mesh).distances(np.atleast_2d(np.asarray(points, dtype=np.float64)))
 
 
 def _moller_trumbore(origin, direction, tri):
@@ -197,52 +358,6 @@ def ray_hits(mesh: TriangleMesh, origin, direction) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # u + v is inf - inf only where det is ~0
         hit = (np.abs(det) > 1e-12) & (u >= -eps) & (v >= -eps) & (u + v <= 1.0 + eps) & (t > 1e-9)
     return np.sort(t[hit])
-
-
-def point_surface_distance(mesh: TriangleMesh, points: np.ndarray) -> np.ndarray:
-    """Unsigned distance from each point to the closest triangle."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    tri = mesh.corner_points
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-    ab, ac = b - a, c - a
-    out = np.empty(len(points))
-    for idx, q in enumerate(points):
-        ap = q - a
-        d1 = np.einsum("ij,ij->i", ab, ap)
-        d2 = np.einsum("ij,ij->i", ac, ap)
-        bp = q - b
-        d3 = np.einsum("ij,ij->i", ab, bp)
-        d4 = np.einsum("ij,ij->i", ac, bp)
-        cp = q - c
-        d5 = np.einsum("ij,ij->i", ab, cp)
-        d6 = np.einsum("ij,ij->i", ac, cp)
-        va = d3 * d6 - d5 * d4
-        vb = d5 * d2 - d1 * d6
-        vc = d1 * d4 - d3 * d2
-        denom = va + vb + vc
-        denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
-        v = vb / denom
-        w = vc / denom
-        # closest point via clamped barycentric regions
-        closest = a + v[:, None] * ab + w[:, None] * ac
-        # vertex regions
-        closest = np.where(((d1 <= 0) & (d2 <= 0))[:, None], a, closest)
-        closest = np.where(((d3 >= 0) & (d4 <= d3))[:, None], b, closest)
-        closest = np.where(((d6 >= 0) & (d5 <= d6))[:, None], c, closest)
-        # edge regions
-        t_ab = np.clip(d1 / np.where(np.abs(d1 - d3) < 1e-300, 1.0, d1 - d3), 0, 1)
-        on_ab = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
-        closest = np.where(on_ab[:, None], a + t_ab[:, None] * ab, closest)
-        t_ac = np.clip(d2 / np.where(np.abs(d2 - d6) < 1e-300, 1.0, d2 - d6), 0, 1)
-        on_ac = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
-        closest = np.where(on_ac[:, None], a + t_ac[:, None] * ac, closest)
-        num = d4 - d3
-        den = (d4 - d3) + (d5 - d6)
-        t_bc = np.clip(num / np.where(np.abs(den) < 1e-300, 1.0, den), 0, 1)
-        on_bc = (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)
-        closest = np.where(on_bc[:, None], b + t_bc[:, None] * (c - b), closest)
-        out[idx] = np.min(np.linalg.norm(closest - q, axis=1))
-    return out
 
 
 def clip_by_plane(mesh: TriangleMesh, point, normal, cap: bool = True) -> TriangleMesh:

@@ -4,7 +4,9 @@ strut supports, and account for printable material volume.
 
 Offsetting is per-vertex along area-weighted normals; self-intersections
 are detected (sparse grid candidates, Moller-Trumbore edge tests) and
-reported, never repaired. The containment and gap checks test every vertex.
+reported, never repaired. The containment (winding number) and gap
+(point-surface distance) checks test every vertex, through the face BVH of
+`primitives`.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
-"""Reference oracles: the brute-force intersection code that handforge
-shipped before its array rewrite, kept unchanged so property tests can
-hold the array code to it.
+"""Reference oracles: the brute-force geometry code that handforge shipped
+before its array and BVH rewrites, kept unchanged so property tests can
+hold the new code to it.
 
 - `find_self_intersections`: dict-of-lists grid broad phase, per-pair
   Python loop, scalar Moller-Trumbore edge test (`_segment_hits_triangle`).
   It returns the first `max_pairs` pairs in grid-bucket order.
 - `ray_hits`: the inlined numpy Moller-Trumbore ray cast.
+- `winding_numbers`: per-point van Oosterom solid-angle sum over every face.
+- `point_surface_distance`: per-point Ericson closest point on every face,
+  then the minimum.
 """
 
 from __future__ import annotations
@@ -103,3 +106,68 @@ def ray_hits(mesh: TriangleMesh, origin, direction) -> np.ndarray:
     hit = ok & (u >= -eps) & (v >= -eps) & (u + v <= 1.0 + eps) & (t > 1e-9)
     return np.sort(t[hit])
 
+
+def winding_numbers(mesh: TriangleMesh, points: np.ndarray) -> np.ndarray:
+    """Generalized winding number of each query point (1 inside, 0 outside
+    for watertight outward-wound meshes). Solid-angle sum, van Oosterom form."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    tri = mesh.corner_points
+    out = np.empty(len(points))
+    for idx, q in enumerate(points):
+        a = tri[:, 0] - q
+        b = tri[:, 1] - q
+        c = tri[:, 2] - q
+        la = np.linalg.norm(a, axis=1)
+        lb = np.linalg.norm(b, axis=1)
+        lc = np.linalg.norm(c, axis=1)
+        det = np.einsum("ij,ij->i", a, np.cross(b, c))
+        denom = (la * lb * lc + np.einsum("ij,ij->i", a, b) * lc
+                 + np.einsum("ij,ij->i", b, c) * la + np.einsum("ij,ij->i", c, a) * lb)
+        out[idx] = np.sum(2.0 * np.arctan2(det, denom)) / (4.0 * np.pi)
+    return out
+
+
+def point_surface_distance(mesh: TriangleMesh, points: np.ndarray) -> np.ndarray:
+    """Unsigned distance from each point to the closest triangle."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    tri = mesh.corner_points
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    ab, ac = b - a, c - a
+    out = np.empty(len(points))
+    for idx, q in enumerate(points):
+        ap = q - a
+        d1 = np.einsum("ij,ij->i", ab, ap)
+        d2 = np.einsum("ij,ij->i", ac, ap)
+        bp = q - b
+        d3 = np.einsum("ij,ij->i", ab, bp)
+        d4 = np.einsum("ij,ij->i", ac, bp)
+        cp = q - c
+        d5 = np.einsum("ij,ij->i", ab, cp)
+        d6 = np.einsum("ij,ij->i", ac, cp)
+        va = d3 * d6 - d5 * d4
+        vb = d5 * d2 - d1 * d6
+        vc = d1 * d4 - d3 * d2
+        denom = va + vb + vc
+        denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
+        v = vb / denom
+        w = vc / denom
+        # closest point via clamped barycentric regions
+        closest = a + v[:, None] * ab + w[:, None] * ac
+        # vertex regions
+        closest = np.where(((d1 <= 0) & (d2 <= 0))[:, None], a, closest)
+        closest = np.where(((d3 >= 0) & (d4 <= d3))[:, None], b, closest)
+        closest = np.where(((d6 >= 0) & (d5 <= d6))[:, None], c, closest)
+        # edge regions
+        t_ab = np.clip(d1 / np.where(np.abs(d1 - d3) < 1e-300, 1.0, d1 - d3), 0, 1)
+        on_ab = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
+        closest = np.where(on_ab[:, None], a + t_ab[:, None] * ab, closest)
+        t_ac = np.clip(d2 / np.where(np.abs(d2 - d6) < 1e-300, 1.0, d2 - d6), 0, 1)
+        on_ac = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
+        closest = np.where(on_ac[:, None], a + t_ac[:, None] * ac, closest)
+        num = d4 - d3
+        den = (d4 - d3) + (d5 - d6)
+        t_bc = np.clip(num / np.where(np.abs(den) < 1e-300, 1.0, den), 0, 1)
+        on_bc = (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)
+        closest = np.where(on_bc[:, None], b + t_bc[:, None] * (c - b), closest)
+        out[idx] = np.min(np.linalg.norm(closest - q, axis=1))
+    return out

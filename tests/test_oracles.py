@@ -1,6 +1,8 @@
-"""Properties that hold the array intersection code to the brute-force
-oracles in `oracles.py`: the same self-intersection pair sets, a capped
-result that is the sorted prefix, and bit-identical ray casts.
+"""Properties that hold the array code to the brute-force oracles in
+`oracles.py`: the same self-intersection pair sets, a capped result that is
+the sorted prefix, bit-identical ray casts, and for the face BVH queries
+bit-identical point-surface distances and winding numbers within 1e-10
+with the same containment decisions.
 
 The array scan sums the Moller-Trumbore dot products in another order than
 the oracle's scalar `np.dot`, so the two can disagree where that is pure
@@ -8,16 +10,26 @@ rounding: on an edge that lies parallel to the other face's plane (coplanar
 pieces of one clipped facet, duplicated shapes), the determinant is noise
 and so is each scan's verdict. A pair may differ only in that case, which
 is fixed beforehand from float64's epsilon.
+
+The BVH sums a winding number in another order than the oracle too. Where
+the point lies on the surface and the exact value is 1/2 (a vertex inside a
+flat piece of a closed mesh, such as a cap centre of a clipped hull), both
+sums are 1/2 up to rounding and inside/outside is undefined, so the
+containment decision `w < 0.5` may differ only at points whose oracle
+distance to the surface is exactly 0.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from handforge import mesh_io as mio, primitives, tissue_gen as tg
+from handforge.mesh_io import TriangleMesh
 
 UNCAPPED = 10**9
 ROUNDING = 8 * np.finfo(np.float64).eps  # |det| bound, relative to |e1| |d| |e2|
+WINDING_TOL = 1e-10
 
 coord = st.floats(-4.0, 4.0, allow_nan=False)
 points3 = st.tuples(coord, coord, coord)
@@ -103,3 +115,105 @@ def test_ray_hits_bit_identical(mesh, origin, direction):
     got = primitives.ray_hits(mesh, origin, direction)
     want = oracles.ray_hits(mesh, origin, direction)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def open_patches(draw):
+    """A union or clipped hull with a random share of its faces deleted."""
+    mesh = draw(meshes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = rng.random(len(mesh.faces)) >= draw(st.floats(0.05, 0.6))
+    keep[rng.integers(len(mesh.faces))] = True
+    return TriangleMesh(mesh.vertices, mesh.faces[keep], "patch")
+
+
+def query_points(mesh, seed, count=120):
+    """Up to count mesh vertices and face centroids each, plus count uniform
+    points in the mesh's bounding box padded by 1."""
+    rng = np.random.default_rng(seed)
+    lo, hi = mesh.vertices.min(axis=0) - 1.0, mesh.vertices.max(axis=0) + 1.0
+    picks = [rng.permutation(p)[:count] for p in (mesh.vertices, mesh.corner_points.mean(axis=1))]
+    return np.vstack(picks + [rng.uniform(lo, hi, size=(count, 3))])
+
+
+def assert_queries_match_oracle(mesh, points):
+    got = primitives.point_surface_distance(mesh, points)
+    want = oracles.point_surface_distance(mesh, points)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    on_surface = want == 0.0
+    got = primitives.winding_numbers(mesh, points)
+    want = oracles.winding_numbers(mesh, points)
+    assert np.abs(got - want).max(initial=0.0) <= WINDING_TOL
+    flipped = (got < 0.5) != (want < 0.5)
+    assert np.all(on_surface[flipped]), points[flipped & ~on_surface]
+
+
+@settings(max_examples=30, deadline=None)
+@given(unions, st.integers(0, 2**32 - 1))
+def test_queries_on_unions_match_oracle(mesh, seed):
+    assert_queries_match_oracle(mesh, query_points(mesh, seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(clipped_hulls(), st.integers(0, 2**32 - 1))
+def test_queries_on_clipped_hulls_match_oracle(mesh, seed):
+    assert_queries_match_oracle(mesh, query_points(mesh, seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(open_patches(), st.integers(0, 2**32 - 1))
+def test_queries_on_open_patches_match_oracle(mesh, seed):
+    assert_queries_match_oracle(mesh, query_points(mesh, seed))
+
+
+def test_queries_on_single_triangle():
+    tri = TriangleMesh(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.array([[0, 1, 2]]))
+    points = np.array([[0.5, 0.25, 0.0], [0.5, 0.25, 1.0], [0.5, 0.25, -1.0], [3.0, 3.0, 0.0],
+                       [2.0, 0.0, 0.0], [1.0, 0.5, 0.0], [-1.0, -1.0, 0.5]])
+    assert_queries_match_oracle(tri, np.vstack([points, query_points(tri, 0)]))
+
+
+@pytest.mark.parametrize("kept", [1, 4, 7])
+def test_queries_with_padded_leaves(kept):
+    # fewer faces than one leaf holds: the rest of the leaf is padding
+    cube = primitives.cube(2.0, center=(0.3, -0.2, 0.1))
+    patch = TriangleMesh(cube.vertices, cube.faces[:kept])
+    assert_queries_match_oracle(patch, query_points(patch, kept))
+
+
+def test_queries_on_node_box_planes():
+    # every corner of every node box lies on three box planes at once
+    mesh = primitives.icosphere(3.0, 2, center=(0.5, 0.0, -0.25))
+    index = primitives._MeshIndex(mesh)
+    corners = np.stack([np.where(np.array(bits, dtype=bool), index.hi[1:], index.lo[1:])  # node 0 is unused
+                        for bits in np.ndindex(2, 2, 2)], axis=1).reshape(-1, 3)
+    assert_queries_match_oracle(mesh, np.unique(corners[np.isfinite(corners).all(axis=1)], axis=0))
+
+
+def test_queries_at_vertex_on_another_shapes_edge():
+    # shifted along z, the second sphere has vertical edges through vertices
+    # of the first: there both sums hinge on the rounding of edge-point terms
+    sphere = primitives.icosphere(5.0, 1)
+    sphere = TriangleMesh(np.round(sphere.vertices, 8), sphere.faces)
+    mesh = mio.merge_meshes([sphere, TriangleMesh(sphere.vertices + [0.0, 0.0, 1.5], sphere.faces)])
+    assert_queries_match_oracle(mesh, mesh.vertices)
+
+
+def test_queries_just_off_a_flat_patch():
+    # (3 * 0.1) / 3 != 0.1: every face centroid lies a rounding step off the
+    # plane z = 0.1, outside the zero-thickness boxes of the flat nodes
+    k = 8
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, k + 1), np.linspace(0.0, 1.0, k + 1), indexing="ij")
+    idx = np.arange(x.size).reshape(k + 1, k + 1)
+    a, b, c, d = (corner.ravel() for corner in (idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:]))
+    patch = TriangleMesh(np.c_[x.ravel(), y.ravel(), np.full(x.size, 0.1)], np.r_[np.c_[a, b, c], np.c_[a, c, d]])
+    centroids = patch.corner_points.mean(axis=1)
+    assert np.all(centroids[:, 2] != 0.1)
+    assert_queries_match_oracle(patch, centroids)
+
+
+def test_queries_on_no_points():
+    mesh = primitives.icosphere(1.0, 1)
+    for query in (primitives.winding_numbers, primitives.point_surface_distance):
+        out = query(mesh, np.zeros((0, 3)))
+        assert out.shape == (0,) and out.dtype == np.float64
