@@ -3,8 +3,8 @@
 Shapes (cube, icosphere, cylinder, capsule, convex hull) serve as test
 oracles, template bones and demo fixtures. The query helpers back the
 tissue-shell builder: winding numbers and point-surface distances answer
-through a face BVH (`_MeshIndex`; exact, not approximated), and ray casting
-and plane clipping scan every face.
+through a face BVH (`_MeshIndex`; exact, not approximated), ray casting scans
+every face, and plane clipping splits all faces at once with array code.
 """
 
 from __future__ import annotations
@@ -362,62 +362,60 @@ def ray_hits(mesh: TriangleMesh, origin, direction) -> np.ndarray:
 
 def clip_by_plane(mesh: TriangleMesh, point, normal, cap: bool = True) -> TriangleMesh:
     """Keep the half-space dot(v - point, normal) <= 0, splitting crossing
-    triangles and capping each cut loop with a centroid fan."""
+    triangles and capping each cut loop with a centroid fan.
+
+    A cut on an edge whose kept end lies on the plane (|distance| <= 1e-12)
+    reuses that vertex. Other cut vertices follow the original ones in the
+    order their edges are first cut, walking the faces in order, each placed
+    from the direction of that first cut."""
     point = np.asarray(point, dtype=np.float64)
     n = np.asarray(normal, dtype=np.float64)
     n = n / np.linalg.norm(n)
-    sd = (mesh.vertices - point) @ n
-
-    verts = [tuple(v) for v in mesh.vertices]
-    edge_cut = {}
-
-    def cut(i, j):
-        key = (i, j) if i < j else (j, i)
-        if key not in edge_cut:
-            t = sd[i] / (sd[i] - sd[j])
-            p = mesh.vertices[i] + t * (mesh.vertices[j] - mesh.vertices[i])
-            verts.append(tuple(p))
-            edge_cut[key] = len(verts) - 1
-        return edge_cut[key]
+    verts, faces = mesh.vertices, mesh.faces
+    sd = (verts - point) @ n
 
     eps = 1e-12
-    faces = []
-    segments = []  # directed cut edges, CCW around the kept region seen from +n
-    for tri in mesh.faces:
-        inside = [sd[i] <= eps for i in tri]
-        k = sum(inside)
-        if k == 3:
-            faces.append(list(tri))
-        elif k == 0:
-            continue
-        else:
-            order = list(tri)
-            flags = list(inside)
-            if k == 1:
-                # rotate so the single kept vertex comes first
-                while not (flags[0] and not flags[1] and not flags[2]):
-                    order = order[1:] + order[:1]
-                    flags = flags[1:] + flags[:1]
-                a, b, c = order
-                pab, pca = cut(a, b), cut(c, a)
-                faces.append([a, pab, pca])
-                segments.append((pab, pca))
-            else:
-                # rotate so the single dropped vertex comes last
-                while flags[2]:
-                    order = order[1:] + order[:1]
-                    flags = flags[1:] + flags[:1]
-                a, b, c = order
-                pbc, pca = cut(b, c), cut(c, a)
-                faces.append([a, b, pbc])
-                faces.append([a, pbc, pca])
-                segments.append((pbc, pca))
+    inside = sd[faces] <= eps
+    k = inside.sum(axis=1)
+    cross = (k == 1) | (k == 2)
+    k1 = k[cross] == 1
+    # rotate so a single kept vertex comes first and a single dropped one last
+    shift = np.where(k1, inside[cross].argmax(axis=1), inside[cross].argmin(axis=1) + 1)
+    a, b, c = np.take_along_axis(faces[cross], (shift[:, None] + np.arange(3)) % 3, axis=1).T
+    # two cuts per crossing face, in loop order: (a, b), (c, a) or (b, c), (c, a)
+    i = np.c_[np.where(k1, a, b), c].ravel()
+    j = np.c_[np.where(k1, b, c), a].ravel()
+    # a cut whose kept end lies on the plane is that end; the other cuts are
+    # new vertices, numbered by first cut of their edge, placed from its direction
+    cut = np.where(sd[i] <= eps, i, j)
+    new = np.abs(sd[cut]) > eps
+    i, j = i[new], j[new]
+    _, first, inverse = np.unique(np.minimum(i, j) * len(verts) + np.maximum(i, j),
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    cut[new] = len(verts) + np.argsort(order)[inverse]
+    i, j = i[first[order]], j[first[order]]
+    t = sd[i] / (sd[i] - sd[j])
+    varr = np.concatenate([verts, verts[i] + t[:, None] * (verts[j] - verts[i])])
+    p1, p2 = cut.reshape(-1, 2).T
 
-    if cap and segments:
-        # chain segments into loops and cap with centroid fans facing +n
-        nxt = {s: e for s, e in segments}
+    # faces in input order: whole (k = 3), one piece (k = 1) or two (k = 2)
+    slots = np.array([0, 1, 2, 1])[k]
+    at = np.cumsum(slots) - slots
+    farr = np.empty((slots.sum(), 3), dtype=np.int64)
+    farr[at[k == 3]] = faces[k == 3]
+    at = at[cross]
+    farr[at] = np.where(k1[:, None], np.c_[a, p1, p2], np.c_[a, b, p1])
+    farr[at[~k1] + 1] = np.c_[a, p1, p2][~k1]
+
+    if cap:
+        # chain the cut segments, CCW around the kept region seen from +n,
+        # into loops and cap each with a centroid fan facing +n
+        seg = p1 != p2
+        nxt = dict(zip(p1[seg].tolist(), p2[seg].tolist()))
         visited = set()
-        for start in list(nxt):
+        loops = []
+        for start in nxt:
             if start in visited:
                 continue
             loop = [start]
@@ -427,22 +425,20 @@ def clip_by_plane(mesh: TriangleMesh, point, normal, cap: bool = True) -> Triang
                 loop.append(cur)
                 visited.add(cur)
                 cur = nxt.get(cur)
-            if cur != start or len(loop) < 3:
-                continue  # open chain: leave uncapped
-            centroid = np.mean([verts[i] for i in loop], axis=0)
-            verts.append(tuple(centroid))
-            ci = len(verts) - 1
-            for i in range(len(loop)):
-                faces.append([ci, loop[(i + 1) % len(loop)], loop[i]])
+            if cur == start and len(loop) >= 3:  # open chains stay uncapped
+                loops.append(loop)
+        centroids = [varr[loop].mean(axis=0) for loop in loops]
+        fans = [np.c_[np.full(len(loop), len(varr) + m), np.roll(loop, -1), loop]
+                for m, loop in enumerate(loops)]
+        varr = np.concatenate([varr, np.reshape(centroids, (-1, 3))])
+        farr = np.concatenate([farr, *fans])
 
-    if not faces:
-        raise MeshInvariantError("clip removed the entire mesh")
-    varr = np.asarray(verts, dtype=np.float64)
-    farr = np.asarray(faces, dtype=np.int64)
     # drop degenerate faces produced by vertices exactly on the plane
     p = varr[farr]
     area2 = np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
     farr = farr[area2 > 1e-12]
+    if not len(farr):
+        raise MeshInvariantError("clip removed the entire mesh")
     used = np.unique(farr)
     remap = np.full(len(varr), -1, dtype=np.int64)
     remap[used] = np.arange(len(used))

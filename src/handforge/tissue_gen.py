@@ -29,6 +29,7 @@ from .mesh_io import (
 from .primitives import (
     _frame_from_axis,
     _moller_trumbore,
+    clip_by_plane,
     cylinder,
     point_surface_distance,
     ray_hits,
@@ -286,8 +287,6 @@ def extract_segment(skin: TriangleMesh, bone: TriangleMesh, margin: float = 2.0)
     """Cut the per-phalanx skin segment: clip the skin with two planes
     perpendicular to the bone's principal axis just beyond its ends, and
     cap the cuts with fans."""
-    from .primitives import clip_by_plane
-
     centered = bone.vertices - bone.vertices.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     axis = vt[0]

@@ -9,12 +9,16 @@ hold the new code to it.
 - `winding_numbers`: per-point van Oosterom solid-angle sum over every face.
 - `point_surface_distance`: per-point Ericson closest point on every face,
   then the minimum.
+- `clip_by_plane`: per-face loop with a dict of cut edges and tuple vertices.
+  It duplicates a vertex that lies on the plane and returns an empty mesh
+  when only degenerate faces survive.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from handforge.errors import MeshInvariantError
 from handforge.mesh_io import TriangleMesh
 
 
@@ -171,3 +175,92 @@ def point_surface_distance(mesh: TriangleMesh, points: np.ndarray) -> np.ndarray
         closest = np.where(on_bc[:, None], b + t_bc[:, None] * (c - b), closest)
         out[idx] = np.min(np.linalg.norm(closest - q, axis=1))
     return out
+
+
+def clip_by_plane(mesh: TriangleMesh, point, normal, cap: bool = True) -> TriangleMesh:
+    """Keep the half-space dot(v - point, normal) <= 0, splitting crossing
+    triangles and capping each cut loop with a centroid fan."""
+    point = np.asarray(point, dtype=np.float64)
+    n = np.asarray(normal, dtype=np.float64)
+    n = n / np.linalg.norm(n)
+    sd = (mesh.vertices - point) @ n
+
+    verts = [tuple(v) for v in mesh.vertices]
+    edge_cut = {}
+
+    def cut(i, j):
+        key = (i, j) if i < j else (j, i)
+        if key not in edge_cut:
+            t = sd[i] / (sd[i] - sd[j])
+            p = mesh.vertices[i] + t * (mesh.vertices[j] - mesh.vertices[i])
+            verts.append(tuple(p))
+            edge_cut[key] = len(verts) - 1
+        return edge_cut[key]
+
+    eps = 1e-12
+    faces = []
+    segments = []  # directed cut edges, CCW around the kept region seen from +n
+    for tri in mesh.faces:
+        inside = [sd[i] <= eps for i in tri]
+        k = sum(inside)
+        if k == 3:
+            faces.append(list(tri))
+        elif k == 0:
+            continue
+        else:
+            order = list(tri)
+            flags = list(inside)
+            if k == 1:
+                # rotate so the single kept vertex comes first
+                while not (flags[0] and not flags[1] and not flags[2]):
+                    order = order[1:] + order[:1]
+                    flags = flags[1:] + flags[:1]
+                a, b, c = order
+                pab, pca = cut(a, b), cut(c, a)
+                faces.append([a, pab, pca])
+                segments.append((pab, pca))
+            else:
+                # rotate so the single dropped vertex comes last
+                while flags[2]:
+                    order = order[1:] + order[:1]
+                    flags = flags[1:] + flags[:1]
+                a, b, c = order
+                pbc, pca = cut(b, c), cut(c, a)
+                faces.append([a, b, pbc])
+                faces.append([a, pbc, pca])
+                segments.append((pbc, pca))
+
+    if cap and segments:
+        # chain segments into loops and cap with centroid fans facing +n
+        nxt = {s: e for s, e in segments}
+        visited = set()
+        for start in list(nxt):
+            if start in visited:
+                continue
+            loop = [start]
+            visited.add(start)
+            cur = nxt.get(start)
+            while cur is not None and cur != start:
+                loop.append(cur)
+                visited.add(cur)
+                cur = nxt.get(cur)
+            if cur != start or len(loop) < 3:
+                continue  # open chain: leave uncapped
+            centroid = np.mean([verts[i] for i in loop], axis=0)
+            verts.append(tuple(centroid))
+            ci = len(verts) - 1
+            for i in range(len(loop)):
+                faces.append([ci, loop[(i + 1) % len(loop)], loop[i]])
+
+    if not faces:
+        raise MeshInvariantError("clip removed the entire mesh")
+    varr = np.asarray(verts, dtype=np.float64)
+    farr = np.asarray(faces, dtype=np.int64)
+    # drop degenerate faces produced by vertices exactly on the plane
+    p = varr[farr]
+    area2 = np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
+    farr = farr[area2 > 1e-12]
+    used = np.unique(farr)
+    remap = np.full(len(varr), -1, dtype=np.int64)
+    remap[used] = np.arange(len(used))
+    return TriangleMesh(varr[used], remap[farr], mesh.name)

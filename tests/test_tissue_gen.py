@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from handforge import mesh_io as mio, primitives, tissue_gen as tg
-from handforge.errors import ContainmentError, GapTooSmall, PlacementFailure
+from handforge.errors import ContainmentError, GapTooSmall, MeshInvariantError, PlacementFailure
 from handforge.mesh_io import TriangleMesh
 from handforge.tissue_gen import SelfIntersectionWarning, TubeSpec
 
@@ -210,6 +210,26 @@ class TestReportAndExport:
             assert mio.analyze_mesh(comp).watertight
         rep = json.loads(files["report.json"])
         assert rep["solid_volume_mm3"] > rep["material_volume_mm3"]
+
+
+class TestClipByPlane:
+    @pytest.mark.parametrize("mesh, normal", [
+        (primitives.icosphere(1.0, 2), (0.0, 0.0, 1.0)),
+        (primitives.icosphere(1.0, 2), (1.0, 0.0, 0.0)),
+        (primitives.cube(1.0), (1.0, -1.0, 0.0)),  # x = y holds 4 corners
+    ])
+    def test_cut_through_vertices_shares_them(self, mesh, normal):
+        half = primitives.clip_by_plane(mesh, (0.0, 0.0, 0.0), normal)
+        assert mio.analyze_mesh(half).watertight
+        assert len(np.unique(half.vertices, axis=0)) == len(half.vertices)
+        assert mio.signed_volume(half) == pytest.approx(mio.signed_volume(mesh) / 2, abs=1e-12)
+
+    @pytest.mark.parametrize("mesh", [primitives.cube(1.0), primitives.icosphere(1.0, 2)])
+    def test_plane_touching_one_vertex_removes_all(self, mesh):
+        # keeps only vertex 0: every face left around it is degenerate
+        corner = mesh.vertices[0]
+        with pytest.raises(MeshInvariantError, match="clip removed the entire mesh"):
+            primitives.clip_by_plane(mesh, corner, -corner)
 
 
 class TestExtractSegment:
