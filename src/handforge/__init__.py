@@ -26,7 +26,6 @@ from .kinematics import (
     load_presets,
     solve_flexion,
     sweep_trajectory,
-    tendon_excursion,
 )
 from .landmarks import (
     LANDMARK_NAMES,

@@ -7,7 +7,7 @@ trajectories. Every stage reads and writes plain files; exit status is
 from __future__ import annotations
 
 import json
-import sys
+import math
 from pathlib import Path
 
 import click
@@ -102,7 +102,6 @@ def main():
 def validate(config_path):
     """Check all configured inputs; warnings do not fail the run."""
     cfg = _load_config(config_path)
-    failures = 0
     scan = _read_mesh(_config_path(cfg, "scan"))
     report = analyze_mesh(scan)
     click.echo(
@@ -124,10 +123,7 @@ def validate(config_path):
         try:
             tissue_gen.TubeSpec(**cfg["tube"])
         except (TypeError, ValueError) as exc:
-            click.echo(f"error: invalid tube spec: {exc}")
-            failures += 1
-    if failures:
-        sys.exit(1)
+            raise click.ClickException(f"invalid tube spec: {exc}")
     click.echo("validation OK")
 
 
@@ -207,6 +203,13 @@ def gen_tissue(config_path, bone_id, sigma, out_dir):
     )
 
 
+def _candidate(label: str, curve) -> deformation.ThicknessCandidate:
+    try:
+        return deformation.ThicknessCandidate(float(label.split("=", 1)[1]), curve)
+    except ValueError as exc:
+        raise click.ClickException(f"candidate curve {label!r}: {exc}")
+
+
 @main.command("select-thickness")
 @click.option("--curves", "curves_path", required=True, type=str, help="strain,force,label CSV.")
 @click.option("--human-label", default="human", show_default=True)
@@ -221,11 +224,8 @@ def select_thickness(curves_path, human_label, out_path):
         by_label = {c.label: c for c in curves}
         if human_label not in by_label:
             raise click.UsageError(f"no curve labeled {human_label!r} in {p}")
-        candidates = [
-            deformation.ThicknessCandidate(float(label.split("=", 1)[1]), curve)
-            for label, curve in by_label.items()
-            if label.startswith("sigma=")
-        ]
+        candidates = [_candidate(label, curve) for label, curve in by_label.items()
+                      if label.startswith("sigma=")]
         if not candidates:
             raise click.ClickException("no 'sigma=<value>' candidate curves found")
         sigma_star, distances = deformation.select_thickness(candidates, by_label[human_label])
@@ -238,6 +238,29 @@ def select_thickness(curves_path, human_label, out_path):
         Path(out_path).write_text(json.dumps(
             {"sigma_star": sigma_star, "distances": {str(k): v for k, v in distances.items()}},
             indent=2) + "\n")
+
+
+def _config_designs(doc, defaults: dict) -> dict:
+    """FingerConfigs of a config's `designs` section: {"defaults": {...},
+    "designs": {id: entry}}, or the id -> entry table itself beside an
+    optional "defaults"; missing defaults come from the shipped presets."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("defaults", {}), dict):
+        raise click.UsageError("config 'designs' and its 'defaults' must be JSON objects")
+    defaults = {**defaults, **doc.get("defaults", {})}
+    table = doc["designs"] if "designs" in doc else {k: v for k, v in doc.items() if k != "defaults"}
+    if not isinstance(table, dict) or not table:
+        raise click.UsageError("config 'designs' must map at least one design id to its entry")
+    configs = {}
+    for name, entry in table.items():
+        if not isinstance(entry, dict):
+            raise click.UsageError(f"design {name!r} must be a JSON object")
+        try:
+            configs[name] = kinematics.config_from_document(name, entry, defaults)
+        except KeyError as exc:
+            raise click.UsageError(f"design {name!r} is missing {exc}")
+        except (TypeError, ValueError) as exc:
+            raise click.UsageError(f"design {name!r}: {exc}")
+    return configs
 
 
 @main.command()
@@ -254,13 +277,7 @@ def simulate(config_path, design_ids, displacement_max, steps, out_dir):
     if config_path:
         cfg = _load_config(config_path)
         if "designs" in cfg:
-            doc = cfg["designs"]
-            defaults = doc.get("defaults", {"lengths": (45, 25, 20), "limits": kinematics.DEFAULT_LIMITS})
-            presets = {
-                name: kinematics.config_from_document(name, entry, defaults)
-                for name, entry in doc.get("designs", doc).items()
-                if isinstance(entry, dict) and "b" in entry
-            }
+            presets = _config_designs(cfg["designs"], meta)
     if design_ids:
         wanted = [d.strip() for d in design_ids.split(",")]
         unknown = [d for d in wanted if d not in presets]
@@ -271,8 +288,8 @@ def simulate(config_path, design_ids, displacement_max, steps, out_dir):
     nsteps = meta["steps"] if steps is None else steps
     if nsteps < 2:
         raise click.UsageError("steps must be >= 2")
-    if dmax < 0:
-        raise click.UsageError("displacement-max must be >= 0")
+    if not 0 <= dmax < math.inf:
+        raise click.UsageError(f"displacement-max must be finite and >= 0, got {dmax}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:

@@ -107,7 +107,7 @@ def make_demo_curves(sigma_values=(0.3, 0.4, 0.5, 0.6, 0.8), reference_sigma: fl
 def write_demo(out_dir: str | Path, scale: float = 1.0, mesh_format: str = "stl_binary") -> dict:
     """Write the full demo fixture set and its pipeline config; returns the
     config document."""
-    out_dir = Path(out_dir)
+    out_dir = Path(out_dir).resolve()  # the config must work from any directory
     template_dir = out_dir / "template"
     template_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "output").mkdir(exist_ok=True)

@@ -38,19 +38,14 @@ class TendonStage:
     stage_id: str = ""
 
     def __post_init__(self):
-        if self.b < 0 or self.h < 0 or (self.b == 0 and self.h == 0):
-            raise ValueError("need b >= 0, h >= 0 and not both zero")
+        if not (0 <= self.b < math.inf and 0 <= self.h < math.inf) or self.b == self.h == 0:
+            raise ValueError(f"need finite b >= 0, h >= 0 and not both zero, got b={self.b}, h={self.h}")
 
     def excursion(self, phi: float) -> float:
         return (self.b + self.h * phi) * phi
 
     def excursion_rate(self, phi: float) -> float:
         return self.b + 2.0 * self.h * phi
-
-
-def tendon_excursion(stage: TendonStage, phi: float) -> float:
-    """Tendon displacement at joint angle phi (phi >= 0)."""
-    return stage.excursion(phi)
 
 
 @dataclass
@@ -81,12 +76,10 @@ class FingerConfig:
         self.lengths = tuple(float(x) for x in self.lengths)
         self.springs = tuple(float(x) for x in self.springs)
         self.limits = tuple(float(x) for x in self.limits)
-        if any(l <= 0 for l in self.lengths):
-            raise ValueError("phalanx lengths must be positive")
-        if any(k <= 0 for k in self.springs):
-            raise ValueError("spring stiffnesses must be positive")
-        if any(l <= 0 for l in self.limits):
-            raise ValueError("joint limits must be positive")
+        for what, values in (("phalanx lengths", self.lengths), ("spring stiffnesses", self.springs),
+                             ("joint limits", self.limits)):
+            if len(values) != 3 or not all(0 < x < math.inf for x in values):
+                raise ValueError(f"need 3 positive finite {what}, got {list(values)}")
 
 
 @dataclass
@@ -261,6 +254,8 @@ def _presets_document() -> dict:
 def config_from_document(design_id: str, doc: dict, defaults: dict) -> FingerConfig:
     lengths = doc.get("lengths", defaults["lengths"])
     limits = doc.get("limits", defaults["limits"])
+    if not len(doc["b"]) == len(doc["h"]) == 3:
+        raise ValueError(f"need 3 b and 3 h coefficients, got {len(doc['b'])} and {len(doc['h'])}")
     stages = tuple(
         TendonStage(b, h, sid) for b, h, sid in zip(doc["b"], doc["h"], STAGE_IDS)
     )
@@ -268,17 +263,12 @@ def config_from_document(design_id: str, doc: dict, defaults: dict) -> FingerCon
 
 
 def load_presets() -> tuple[dict[str, FingerConfig], dict]:
-    """Shipped design presets plus their sweep defaults
-    (displacement_max, steps, baseline id)."""
+    """Shipped design presets plus their defaults (lengths, limits,
+    displacement_max, steps) and baseline id."""
     doc = _presets_document()
     defaults = doc["defaults"]
     configs = {
         name: config_from_document(name, entry, defaults)
         for name, entry in doc["designs"].items()
     }
-    meta = {
-        "displacement_max": defaults["displacement_max"],
-        "steps": defaults["steps"],
-        "baseline": doc["baseline"],
-    }
-    return configs, meta
+    return configs, {**defaults, "baseline": doc["baseline"]}

@@ -4,9 +4,9 @@ strut supports, and account for printable material volume.
 
 Offsetting is per-vertex along area-weighted normals; self-intersections
 are detected (sparse grid candidates, Moller-Trumbore edge tests) and
-reported, never repaired. The containment (winding number) and gap
-(point-surface distance) checks test every vertex, through the face BVH of
-`primitives`.
+reported, never repaired. The orientation, containment (winding number)
+and gap (point-surface distance) checks test every edge or vertex, the
+last two through the face BVH of `primitives`.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .primitives import (
 )
 
 _PAIR_CAP = 100
+_SEGMENT_MARGIN = 2.0  # mm of skin kept beyond each end of the bone
 
 
 @dataclass
@@ -48,12 +49,12 @@ class TubeSpec:
     support_radius: float = 0.5
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.support_count < 0:
-            raise ValueError("support_count must be >= 0")
-        if self.support_count and not self.support_radius > 0:
-            raise ValueError("support_radius must be positive")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not (isinstance(self.support_count, int) and self.support_count >= 0):
+            raise ValueError(f"support_count must be an integer >= 0, got {self.support_count}")
+        if self.support_count and not 0 < self.support_radius < np.inf:
+            raise ValueError(f"support_radius must be positive and finite, got {self.support_radius}")
 
 
 def _empty_mesh() -> TriangleMesh:
@@ -68,13 +69,10 @@ class ShellModel:
     outer: TriangleMesh
     inner: TriangleMesh
     supports: TriangleMesh = field(default_factory=_empty_mesh)
-    material_volume_mm3: float = 0.0
 
-    def recompute_volume(self) -> float:
-        self.material_volume_mm3 = (
-            signed_volume(self.outer) + signed_volume(self.inner) + signed_volume(self.supports)
-        )
-        return self.material_volume_mm3
+    @property
+    def material_volume_mm3(self) -> float:
+        return signed_volume(self.outer) + signed_volume(self.inner) + signed_volume(self.supports)
 
 
 class SelfIntersectionWarning(UserWarning):
@@ -147,17 +145,10 @@ def offset_surface(mesh: TriangleMesh, delta: float, check_intersections: bool =
     """Move every vertex along its area-weighted normal by delta
     (positive = outward); connectivity is unchanged.
 
-    Self-intersections are reported through SelfIntersectionWarning, and
-    offsets beyond the estimated feature size trigger a plain warning.
+    Self-intersections are reported through SelfIntersectionWarning.
     """
     if delta == 0.0:
         return mesh.copy()
-    feature = _min_feature_size(mesh)
-    if abs(delta) >= feature / 2.0:
-        warnings.warn(
-            f"offset {delta} mm exceeds half the estimated feature size {feature:.3f} mm",
-            stacklevel=2,
-        )
     normals = vertex_normals(mesh)
     out = TriangleMesh(mesh.vertices + delta * normals, mesh.faces.copy(), mesh.name)
     if check_intersections:
@@ -173,11 +164,6 @@ def offset_surface(mesh: TriangleMesh, delta: float, check_intersections: bool =
     return out
 
 
-def _min_feature_size(mesh: TriangleMesh) -> float:
-    extent = mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)
-    return float(np.median(extent))
-
-
 def _require_watertight(mesh: TriangleMesh, label: str):
     report = analyze_mesh(mesh)
     if not report.watertight:
@@ -185,10 +171,23 @@ def _require_watertight(mesh: TriangleMesh, label: str):
             f"{label} mesh is not watertight "
             f"({report.boundary_edge_count} boundary, {report.non_manifold_edge_count} non-manifold edges)"
         )
+    key = mesh.faces * len(mesh.vertices) + np.roll(mesh.faces, -1, axis=1)  # directed edges
+    twice = key.size - len(np.unique(key))  # every edge is in two faces, so a repeat is a misoriented pair
+    if twice:
+        raise MeshInvariantError(f"{label} mesh is not consistently oriented ({twice} directed edges used twice)")
 
 
 def build_concentric_tube(skin_segment: TriangleMesh, bone: TriangleMesh, spec: TubeSpec) -> ShellModel:
-    """Build the hollow shell between skin-minus-sigma and bone-plus-sigma."""
+    """Build the hollow shell between skin-minus-sigma and bone-plus-sigma.
+
+    Checks: skin S and bone are closed and consistently oriented, and each
+    bone vertex p has w(S, p) >= 0.5 and dist(p, S) > 2 sigma. They imply,
+    unchecked, w(outer, p') >= 0.5 at each inner vertex p' = p + sigma n_p:
+    S moved by -t sigma n_s (unit normals) stays within t sigma <= sigma of
+    S while segment pp' stays more than sigma from S, and a closed oriented
+    surface keeps its winding number at points it never crosses (Jacobson
+    et al. 2013). So w(outer, p') = w(S, p). Prove it anew for other walls.
+    """
     _require_watertight(skin_segment, "skin segment")
     _require_watertight(bone, "bone")
     if np.any(winding_numbers(skin_segment, bone.vertices) < 0.5):
@@ -199,15 +198,10 @@ def build_concentric_tube(skin_segment: TriangleMesh, bone: TriangleMesh, spec: 
             f"sigma {spec.sigma} mm >= half the minimum skin-to-bone gap {gap:.3f} mm"
         )
     outer = offset_surface(skin_segment, -spec.sigma)
-    inner_outward = offset_surface(bone, +spec.sigma)
-    if np.any(winding_numbers(outer, inner_outward.vertices) < 0.5):
-        raise GapTooSmall("offset surfaces collide: inner wall reaches the outer wall")
     outer.name = "shell_outer"
-    inner = inner_outward.flipped()
+    inner = offset_surface(bone, +spec.sigma).flipped()
     inner.name = "shell_inner"
-    shell = ShellModel(outer=outer, inner=inner)
-    shell.recompute_volume()
-    return add_supports(shell, spec)
+    return add_supports(ShellModel(outer=outer, inner=inner), spec)
 
 
 def _long_axis(mesh: TriangleMesh) -> np.ndarray:
@@ -246,9 +240,7 @@ def add_supports(shell: ShellModel, spec: TubeSpec) -> ShellModel:
                      spec.support_radius, name=f"strut_{k}")
         )
     merged = merge_meshes([shell.supports] + struts, "supports")
-    out = ShellModel(outer=shell.outer, inner=shell.inner, supports=merged)
-    out.recompute_volume()
-    return out
+    return ShellModel(outer=shell.outer, inner=shell.inner, supports=merged)
 
 
 def solid_gap_volume(skin_segment: TriangleMesh, bone: TriangleMesh) -> float:
@@ -283,17 +275,15 @@ def export_shell(shell: ShellModel, solid_mm3: float | None = None) -> dict[str,
     }
 
 
-def extract_segment(skin: TriangleMesh, bone: TriangleMesh, margin: float = 2.0) -> TriangleMesh:
+def extract_segment(skin: TriangleMesh, bone: TriangleMesh) -> TriangleMesh:
     """Cut the per-phalanx skin segment: clip the skin with two planes
     perpendicular to the bone's principal axis just beyond its ends, and
     cap the cuts with fans."""
-    centered = bone.vertices - bone.vertices.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    axis = vt[0]
-    t = centered @ axis
     center = bone.vertices.mean(axis=0)
-    hi_point = center + (float(t.max()) + margin) * axis
-    lo_point = center + (float(t.min()) - margin) * axis
+    axis = np.linalg.svd(bone.vertices - center, full_matrices=False)[2][0]
+    t = (bone.vertices - center) @ axis
+    hi_point = center + (float(t.max()) + _SEGMENT_MARGIN) * axis
+    lo_point = center + (float(t.min()) - _SEGMENT_MARGIN) * axis
     seg = clip_by_plane(skin, hi_point, axis)
     seg = clip_by_plane(seg, lo_point, -axis)
     seg.name = "skin_segment"

@@ -112,7 +112,7 @@ def test_05_excursion_oracle():
         for i in range(10_000):
             stage = TendonStage(b[i], h[i] if h[i] > 0 else 0.1)
             direct = (stage.b + stage.h * phi[i]) * phi[i]
-            assert abs(kin.tendon_excursion(stage, phi[i]) - direct) <= 1e-12 * max(direct, 1.0)
+            assert abs(stage.excursion(phi[i]) - direct) <= 1e-12 * max(direct, 1.0)
         for _ in range(200):
             cfg = FingerConfig(
                 (45.0, 25.0, 20.0),

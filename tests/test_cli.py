@@ -1,10 +1,11 @@
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from handforge import fixtures, kinematics
+from handforge import deformation, fixtures, kinematics
 from handforge.cli import main
 
 
@@ -17,6 +18,15 @@ def demo(tmp_path_factory):
 
 def run(*args):
     return CliRunner().invoke(main, list(args))
+
+
+def assert_refused(result, code, *names):
+    """A one-line `Error:` naming each of `names`, exit `code`, no traceback."""
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    error = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(error) == 1, result.output
+    assert all(name in error[0] for name in names), error[0]
 
 
 class TestValidate:
@@ -63,6 +73,24 @@ class TestValidate:
         result = run("validate", "--config", str(p))
         assert result.exit_code == 1
         assert "tube" in result.output
+
+    def test_infinite_support_radius(self, demo, tmp_path):
+        root, config = demo
+        bad = dict(config, tube={"sigma": 0.4, "support_count": 4, "support_radius": float("inf")})
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(bad))  # written as the JSON extension Infinity
+        assert_refused(run("validate", "--config", str(p)), 1, "support_radius")
+        result = run("gen-tissue", "--config", str(p), "--bone-id", "index_distal")
+        assert_refused(result, 2, "support_radius")
+
+    def test_demo_written_to_relative_path(self, tmp_path, monkeypatch):
+        # the README walkthrough: write `demo`, then validate from inside it
+        monkeypatch.chdir(tmp_path)
+        fixtures.write_demo("demo")
+        monkeypatch.chdir(tmp_path / "demo")
+        result = run("validate", "--config", "config.json")
+        assert result.exit_code == 0, result.output
+        assert "validation OK" in result.output
 
 
 class TestFitBones:
@@ -153,6 +181,15 @@ class TestSelectThickness:
                      "--human-label", "reference")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("label", ["sigma=abc", "sigma=-1", "sigma=nan", "sigma=inf"])
+    def test_bad_candidate_label(self, tmp_path, label):
+        curves = fixtures.make_demo_curves()
+        odd = curves[1]
+        curves.append(deformation.DeformationCurve(odd.strains, odd.forces, label))
+        p = tmp_path / "curves.csv"
+        p.write_text(deformation.dump_curves(curves))
+        assert_refused(run("select-thickness", "--curves", str(p)), 1, repr(label))
+
 
 class TestSimulate:
     def test_preset_sweep(self, tmp_path):
@@ -181,6 +218,42 @@ class TestSimulate:
     def test_single_step_rejected(self, tmp_path):
         result = run("simulate", "--steps", "1", "--out", str(tmp_path))
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_displacement_max(self, tmp_path, value):
+        result = run("simulate", "--displacement-max", value, "--out", str(tmp_path))
+        assert_refused(result, 2, "displacement-max")
+        assert not (tmp_path / "comparison.json").exists()
+
+    @pytest.mark.parametrize("designs, names", [
+        ({"d1": {"b": [8.0, 6.0, 4.0], "springs": [30.0, 20.0, 10.0]}}, ["'d1'", "'h'"]),
+        ({"d1": {"b": [-1, 2, 3], "h": [2.0, 1.5, 1.0], "springs": [30.0, 20.0, 10.0]}}, ["'d1'", "b=-1"]),
+        ({"d1": {"b": [8.0, 6.0], "h": [2.0, 1.5, 1.0], "springs": [30.0, 20.0, 10.0]}}, ["'d1'", "3 b"]),
+        ({"d1": {"b": [8.0, 6.0, 4.0], "h": [2.0, 1.5], "springs": [30.0, 20.0, 10.0]}}, ["'d1'", "3 h"]),
+        ({"d1": {"b": [8.0, 6.0, 4.0], "h": [2.0, 1.5, 1.0], "springs": [30.0, 20.0]}}, ["'d1'", "spring"]),
+        ({"defaults": {"lengths": [45.0, 25.0]}, "designs": {"d1": {"b": [8.0, 6.0, 4.0], "h": [2.0, 1.5, 1.0],
+                                                                    "springs": [30.0, 20.0, 10.0]}}},
+         ["'d1'", "lengths"]),
+        ({"d1": 5}, ["'d1'"]),
+        ([], ["designs"]),
+        ({}, ["designs"]),
+        ({"designs": {}}, ["designs"]),
+    ], ids=["no-h", "negative-b", "two-b", "two-h", "two-springs", "two-default-lengths", "not-an-object",
+            "list", "empty", "empty-table"])
+    def test_malformed_designs(self, tmp_path, designs, names):
+        p = tmp_path / "designs.json"
+        p.write_text(json.dumps({"designs": designs}))
+        result = run("simulate", "--config", str(p), "--out", str(tmp_path / "out"))
+        assert_refused(result, 2, *names)
+
+    def test_config_designs_default_to_preset_lengths(self, tmp_path):
+        presets = json.loads(resources.files("handforge.data").joinpath("finger_presets.json").read_text())
+        p = tmp_path / "designs.json"
+        p.write_text(json.dumps({"designs": {"design_1": presets["designs"]["design_1"]}}))
+        assert run("simulate", "--config", str(p), "--steps", "5", "--out", str(tmp_path / "a")).exit_code == 0
+        assert run("simulate", "--designs", "design_1", "--steps", "5", "--out", str(tmp_path / "b")).exit_code == 0
+        for name in ("comparison.json", "trajectory_design_1.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_csv_fields_are_plain_floats(self, tmp_path):
         assert run("simulate", "--steps", "5", "--out", str(tmp_path)).exit_code == 0

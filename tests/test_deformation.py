@@ -169,3 +169,8 @@ class TestSelectThickness:
         cands = [ThicknessCandidate(0.5, curve([0.5, 1.0], [0.0, 1.0]))]
         with pytest.raises(EmptyOverlap, match="sigma=0.5"):
             dfm.select_thickness(cands, human)
+
+    @pytest.mark.parametrize("sigma", [float("inf"), float("nan"), -1.0, 0.0])
+    def test_candidate_sigma_positive_finite(self, sigma):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ThicknessCandidate(sigma, linear_curve(1.0))

@@ -63,9 +63,9 @@ def oracle_min_energy(cfg, d, grid=200):
 class TestExcursion:
     def test_quadratic_law_values(self):
         stage = TendonStage(10.0, 2.0)
-        assert kin.tendon_excursion(stage, 1.0) == pytest.approx(12.0)
-        assert kin.tendon_excursion(stage, 0.5) == pytest.approx(5.5)
-        assert kin.tendon_excursion(stage, 0.0) == 0.0
+        assert stage.excursion(1.0) == pytest.approx(12.0)
+        assert stage.excursion(0.5) == pytest.approx(5.5)
+        assert stage.excursion(0.0) == 0.0
 
     def test_rate_is_derivative(self):
         stage = TendonStage(7.0, 1.3)
@@ -85,6 +85,11 @@ class TestExcursion:
             TendonStage(0.0, 0.0)
         with pytest.raises(ValueError):
             TendonStage(-1.0, 0.5)
+
+    @pytest.mark.parametrize("b, h", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)])
+    def test_non_finite_coefficients(self, b, h):
+        with pytest.raises(ValueError, match="finite"):
+            TendonStage(b, h)
 
 
 class TestCumulative:
@@ -255,3 +260,10 @@ class TestPresets:
         d, n = meta["displacement_max"], meta["steps"]
         assert (kin.trajectory_metrics(sweep_trajectory(slimmed, d, n))["min_y"]
                 < kin.trajectory_metrics(sweep_trajectory(base, d, n))["min_y"])
+
+
+@pytest.mark.parametrize("field", ["lengths", "springs", "limits"])
+@pytest.mark.parametrize("value", [(1.0, 2.0), (1.0, 2.0, math.nan), (1.0, 2.0, math.inf)])
+def test_config_needs_three_positive_finite_values(field, value):
+    with pytest.raises(ValueError, match="need 3 positive finite"):
+        make_config(**{field: value})

@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from handforge import mesh_io as mio, primitives, tissue_gen as tg
 from handforge.errors import ContainmentError, GapTooSmall, MeshInvariantError, PlacementFailure
 from handforge.mesh_io import TriangleMesh
@@ -48,11 +50,6 @@ class TestOffsetSurface:
         b = tg.offset_surface(skin, -0.8, check_intersections=False)
         # sphere normals stay nearly radial under offsetting, so deltas add
         assert np.abs(a.vertices - b.vertices).max() < 1e-3
-
-    def test_large_offset_warns(self, bone):
-        # offset past half the feature size (median bbox extent, 10 mm here)
-        with pytest.warns(UserWarning, match="feature size"):
-            tg.offset_surface(bone, -5.5, check_intersections=False)
 
 
 class TestSelfIntersections:
@@ -153,6 +150,68 @@ class TestBuildTube:
         with pytest.raises(ValueError):
             TubeSpec(sigma=0.4, support_count=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("sigma", float("inf")), ("sigma", float("nan")),
+        ("support_radius", float("inf")), ("support_radius", float("nan")),
+        ("support_count", float("inf")), ("support_count", 2.5),
+    ])
+    def test_non_finite_spec(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TubeSpec(**{"sigma": 0.4, field: value})
+
+    @pytest.mark.parametrize("role", ["skin segment", "bone"])
+    def test_misoriented_mesh_rejected(self, ico10_4, bone, role):
+        # one reversed face keeps the mesh watertight but turns its 3 edges
+        # the same way as their neighbours' edges
+        mesh = ico10_4 if role == "skin segment" else bone
+        faces = mesh.faces.copy()
+        faces[0] = faces[0, ::-1]
+        bad = TriangleMesh(mesh.vertices, faces)
+        assert mio.analyze_mesh(bad).watertight
+        skin, inner = (bad, bone) if role == "skin segment" else (ico10_4, bad)
+        with pytest.raises(MeshInvariantError, match=rf"{role} mesh is not consistently oriented \(3 directed"):
+            tg.build_concentric_tube(skin, inner, TubeSpec(sigma=0.4, support_count=0))
+
+
+def _random_rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q *= np.sign(np.diag(r))
+    return q * np.linalg.det(q)  # det +1 keeps the winding
+
+
+@st.composite
+def skins_and_bones(draw):
+    """A bumpy star-shaped closed skin around a random ellipsoid bone,
+    sometimes cut by a plane that passes beyond the bone."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rot = _random_rotation(rng)
+    axes = rng.uniform(1.0, 3.0, 3)
+    unit = primitives.icosphere(1.0, 2)
+    bone = TriangleMesh(unit.vertices * axes @ rot.T, unit.faces, "bone")
+    skin = primitives.icosphere(1.0, 3)
+    d = skin.vertices
+    radius = rng.uniform(6.0, 10.0) * (1.0 + rng.uniform(-0.02, 0.02, len(d)))
+    for _ in range(draw(st.integers(0, 4))):  # smooth bumps of up to 25 % in all
+        radius *= 1.0 + rng.uniform(-0.06, 0.06) * np.cos(d @ rng.normal(size=3) * 2.0 + rng.uniform(0, 6.3))
+    skin = TriangleMesh(d * radius[:, None], skin.faces, "skin")
+    if draw(st.booleans()):
+        normal = rng.normal(size=3)
+        normal /= np.linalg.norm(normal)
+        reach = float((bone.vertices @ normal).max())  # the bone's extent along the normal
+        skin = primitives.clip_by_plane(skin, (reach + rng.uniform(0.2, 1.5)) * normal, normal)
+    return skin, bone
+
+
+@settings(max_examples=40, deadline=None)
+@given(skins_and_bones(), st.one_of(st.just(1.0 - 1e-6), st.floats(0.01, 1.0 - 1e-6)))
+def test_inner_wall_inside_outer_wall(skin_and_bone, u):
+    # the invariant build_concentric_tube states instead of checking it
+    skin, bone = skin_and_bone
+    gap = float(primitives.point_surface_distance(skin, bone.vertices).min())
+    shell = tg.build_concentric_tube(skin, bone, TubeSpec(sigma=u * gap / 2.0, support_count=0))
+    w = oracles.winding_numbers(shell.outer, shell.inner.flipped().vertices)
+    assert w.min() >= 0.5
+
 
 class TestSupports:
     def test_strut_volume_vs_analytic(self, ico10_4, bone):
@@ -236,7 +295,7 @@ class TestExtractSegment:
     def test_capsule_segment_spans_bone(self):
         skin = primitives.capsule((0, -30, 0), (0, 30, 0), 12.0)
         bone = primitives.capsule((0, -5, 0), (0, 5, 0), 3.0)
-        seg = tg.extract_segment(skin, bone, margin=2.0)
+        seg = tg.extract_segment(skin, bone)
         assert mio.analyze_mesh(seg).watertight
         ys = seg.vertices[:, 1]
         assert ys.min() == pytest.approx(-5.0 - 3.0 - 2.0, abs=1e-6)
@@ -245,7 +304,7 @@ class TestExtractSegment:
     def test_segment_feeds_tube_builder(self):
         skin = primitives.capsule((0, -30, 0), (0, 30, 0), 12.0)
         bone = primitives.capsule((0, -5, 0), (0, 5, 0), 3.0)
-        seg = tg.extract_segment(skin, bone, margin=2.0)
+        seg = tg.extract_segment(skin, bone)
         shell = tg.build_concentric_tube(seg, bone, TubeSpec(sigma=0.4))
         assert shell.material_volume_mm3 > 0
         assert shell.material_volume_mm3 < tg.solid_gap_volume(seg, bone)
