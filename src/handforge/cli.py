@@ -42,7 +42,8 @@ def _load_config(path: str) -> dict:
         raise click.UsageError(f"malformed config {p}: {exc}")
     if not isinstance(cfg, dict):
         raise click.UsageError(f"config {p} must be a JSON object")
-    return cfg
+    paths = [key for key in ("scan", "landmarks", "template_dir", "out_dir") if isinstance(cfg.get(key), str)]
+    return {**cfg, **{key: str(p.parent / cfg[key]) for key in paths}}  # relative to the config file
 
 
 def _config_path(cfg: dict, key: str) -> Path:

@@ -105,9 +105,9 @@ def make_demo_curves(sigma_values=(0.3, 0.4, 0.5, 0.6, 0.8), reference_sigma: fl
 
 
 def write_demo(out_dir: str | Path, scale: float = 1.0, mesh_format: str = "stl_binary") -> dict:
-    """Write the full demo fixture set and its pipeline config; returns the
-    config document."""
-    out_dir = Path(out_dir).resolve()  # the config must work from any directory
+    """Write the full demo fixture set and its pipeline config (paths relative
+    to it); returns the config document with absolute paths."""
+    out_dir = Path(out_dir)
     template_dir = out_dir / "template"
     template_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "output").mkdir(exist_ok=True)
@@ -135,15 +135,15 @@ def write_demo(out_dir: str | Path, scale: float = 1.0, mesh_format: str = "stl_
 
     (out_dir / "curves.csv").write_text(dump_curves(make_demo_curves()))
 
-    config = {
-        "scan": str(out_dir / "scan.stl"),
-        "landmarks": str(out_dir / "target_landmarks.json"),
-        "template_dir": str(template_dir),
-        "out_dir": str(out_dir / "output"),
+    config = {  # paths relative to the config file, so the workspace can move
+        "scan": "scan.stl",
+        "landmarks": "target_landmarks.json",
+        "template_dir": "template",
+        "out_dir": "output",
         "tube": {"sigma": 0.4, "support_count": 4, "support_radius": 0.5},
     }
     (out_dir / "config.json").write_text(json.dumps(config, indent=2) + "\n")
-    return config
+    return {**config, **{key: str(out_dir.resolve() / path) for key, path in config.items() if key != "tube"}}
 
 
 if __name__ == "__main__":

@@ -89,10 +89,8 @@ def signed_volume(mesh: TriangleMesh) -> float:
 
 
 def _edge_counts(faces: np.ndarray):
-    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    e = np.sort(e, axis=1)
-    _, counts = np.unique(e, axis=0, return_counts=True)
-    return counts
+    u, v = faces.ravel(), faces[:, [1, 2, 0]].ravel()
+    return np.unique(np.minimum(u, v) * (faces.max() + 1) + np.maximum(u, v), return_counts=True)[1]
 
 
 def analyze_mesh(mesh: TriangleMesh) -> MeshReport:
@@ -169,16 +167,14 @@ def connected_components(mesh: TriangleMesh) -> list[TriangleMesh]:
 # parsing
 
 def _weld(triangles: np.ndarray, name=None) -> TriangleMesh:
-    """Index a triangle soup, merging exactly-equal coordinates."""
+    """Index a triangle soup, merging exactly-equal coordinates (0.0 equals
+    -0.0); vertices keep their first appearance's value and order."""
     flat = triangles.reshape(-1, 3)
-    uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
-    # preserve first-appearance order for stable output
-    order = np.full(len(uniq), len(flat), dtype=np.int64)
-    np.minimum.at(order, inverse, np.arange(len(flat)))
-    rank = np.argsort(order, kind="stable")
-    pos = np.empty(len(uniq), dtype=np.int64)
-    pos[rank] = np.arange(len(uniq))
-    mesh = TriangleMesh(uniq[rank], pos[inverse].reshape(-1, 3), name)
+    order = np.lexsort(flat.T[::-1])  # stable, so each run of equal rows starts at its first appearance
+    head = np.r_[True, np.any(flat[order[1:]] != flat[order[:-1]], axis=1)]
+    inverse = np.empty(len(flat), dtype=np.int64)
+    inverse[order] = np.argsort(np.argsort(order[head]))[np.cumsum(head) - 1]
+    mesh = TriangleMesh(flat[np.sort(order[head])], inverse.reshape(-1, 3), name)
     mesh.validate()
     return mesh
 

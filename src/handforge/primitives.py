@@ -3,8 +3,9 @@
 Shapes (cube, icosphere, cylinder, capsule, convex hull) serve as test
 oracles, template bones and demo fixtures. The query helpers back the
 tissue-shell builder: winding numbers and point-surface distances answer
-through a face BVH (`_MeshIndex`; exact, not approximated), ray casting scans
-every face, and plane clipping splits all faces at once with array code.
+through a face BVH (`_MeshIndex`; exact: certified ray crossings, not an
+approximation), ray casting scans every face, and plane clipping splits all
+faces at once with array code.
 """
 
 from __future__ import annotations
@@ -154,6 +155,8 @@ def convex_hull_mesh(points: np.ndarray, name="hull") -> TriangleMesh:
 _LEAF = 8  # faces per BVH leaf
 _CHUNK = 32  # query points per traversal
 _ROWS = 8192  # (point, triangle) rows per kernel call
+_EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+_RAY = np.array([11.0, 9.0, 13.0]) / 16.0  # winding-number ray: no zero component, exact small multiples
 
 
 def _solid_angles(q, a, b, c):
@@ -167,6 +170,27 @@ def _solid_angles(q, a, b, c):
     denom = (la * lb * lc + np.einsum("ij,ij->i", a, b) * lc
              + np.einsum("ij,ij->i", b, c) * la + np.einsum("ij,ij->i", c, a) * lb)
     return 2.0 * np.arctan2(det, denom)
+
+
+def _orientations(u, v, w):
+    """Exact sign of det[u; v; w] = w . (u x v) row by row, or 0 where |det| is
+    within 8 eps times the permanent (Shewchuk's static orient3d bound, 1997,
+    is 3.5 eps for rows of rounded differences) or the smallest normal."""
+    det = np.einsum("...j,...j->...", w, np.cross(u, v))
+    u, v = np.abs(u), np.abs(v)
+    perm = np.einsum("...j,...j->...", np.abs(w), u[:, [1, 2, 0]] * v[:, [2, 0, 1]] + u[:, [2, 0, 1]] * v[:, [1, 2, 0]])
+    return np.where(np.abs(det) > 8.0 * _EPS * perm + _TINY, np.sign(det), 0.0)
+
+
+def _crossings(q, a, b, c):
+    """Crossing of the ray q + t _RAY, t > 0, and triangle (a, b, c) row by row:
+    +1 out through its front, -1 through its back, 0 none, nan undecided. The
+    line meets the open triangle iff its three edge orientations share a sign;
+    det[a - q; b - q; c - q] of that sign puts the meeting point at t > 0."""
+    a, b, c = a - q, b - q, c - q
+    edges = np.stack([_orientations(a, b, _RAY), _orientations(b, c, _RAY), _orientations(c, a, _RAY)])
+    hi, lo, side = edges.max(axis=0), edges.min(axis=0), _orientations(a, b, c)
+    return np.where(hi * lo < 0, 0.0, np.where((hi == lo) & (hi * side != 0), np.where(side == hi, hi, 0.0), np.nan))
 
 
 def _closest_distances(q, a, b, c):
@@ -251,51 +275,28 @@ class _MeshIndex:
         face = self.leaf_faces[node - (1 << self.depth)]
         return np.broadcast_to(pt[:, None], face.shape)[face >= 0], face[face >= 0]
 
-    def _fans(self):
-        """Rows fans[start[n]:start[n + 1]] = (a, b, net) per internal node n:
-        the edges a < b whose net count a -> b over n's faces is not zero, the
-        boundary of n's patch. Triangles (box centre, a, b) weighted by net
-        close the patch inside the box."""
-        f = self.faces[self.leaf_faces[self.leaf_faces >= 0]]
-        u, v = f.ravel(), f[:, [1, 2, 0]].ravel()
-        srt = np.lexsort((np.maximum(u, v), np.minimum(u, v)))  # by edge, then position
-        a, b, sign = np.minimum(u, v)[srt], np.maximum(u, v)[srt], np.where(u < v, 1, -1)[srt]
-        leaf = (1 << self.depth) + srt // (3 * _LEAF)
-        fans = [np.zeros((0, 4), dtype=np.int64)]
-        for level in range(self.depth, 0, -1):  # root first; leaves use their faces
-            node = leaf >> level
-            first = np.flatnonzero(np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1]) | (node[1:] != node[:-1])])
-            net = np.add.reduceat(sign, first)
-            fans.append(np.c_[node[first], a[first], b[first], net][net != 0])
-        fans = np.concatenate(fans)
-        fans = fans[np.argsort(fans[:, 0], kind="stable")]
-        return np.searchsorted(fans[:, 0], np.arange(len(self.lo) + 1)), fans[:, 1:].astype(np.int32)
-
     def winding_numbers(self, points: np.ndarray) -> np.ndarray:
-        """Exact hierarchical winding numbers (Jacobson et al. 2013): a node
-        whose box, grown by the rounding margin, excludes the point adds the
-        solid angle of its closing fan; the leaves reached add their faces, so
-        a point on or near the surface meets the faces there one by one."""
-        start, fans = self._fans()
-        with np.errstate(invalid="ignore"):  # empty nodes have no fan; their nan centre is never read
-            coords = np.vstack([self.vertices, (self.lo + self.hi) / 2.0])
-        margin, out = self._margin(points), np.empty(len(points))
-        for c0 in range(0, len(points), _CHUNK):
-            q, rows = points[c0:c0 + _CHUNK], []
+        """Exact winding numbers: on a closed mesh (each edge used as often in
+        both directions), the signed crossings of a ray walked through the boxes
+        it meets (Jacobson et al. 2013); at a point with an undecided crossing,
+        or on an open mesh, the oracle's solid-angle sum over every face."""
+        u, v = self.faces.ravel(), self.faces[:, [1, 2, 0]].ravel()
+        closed = np.array_equal(np.sort(u * len(self.vertices) + v), np.sort(v * len(self.vertices) + u))
+        margin, out = self._margin(points), np.full(len(points), np.nan)
+        for c0 in range(0, len(points) if closed else 0, _CHUNK):
+            q = points[c0:c0 + _CHUNK]
 
             def enter(pt, node):
-                inside = np.all((self.lo[node] - margin <= q[pt]) & (q[pt] <= self.hi[node] + margin), axis=1)
-                far = node[~inside]
-                count = start[far + 1] - start[far]
-                fan = fans[np.repeat(start[far] - np.cumsum(count) + count, count) + np.arange(count.sum())]
-                rows.append(np.c_[np.repeat(pt[~inside], count), np.repeat(len(self.vertices) + far, count), fan])
-                return inside
+                t0 = (self.lo[node] - margin - q[pt]) / _RAY
+                t1 = (self.hi[node] + margin - q[pt]) / _RAY
+                return np.maximum(t0.max(axis=1), 0.0) <= t1.min(axis=1)
 
             pt, face = self._descend(len(q), enter)
-            rows = np.concatenate(rows + [np.c_[pt, self.faces[face], np.ones_like(pt)]])
-            angles = _per_row(_solid_angles, q, rows[:, 0], rows[:, 1:4], coords)
-            out[c0:c0 + _CHUNK] = np.bincount(rows[:, 0], angles * rows[:, 4], len(q))
-        return out / (4.0 * np.pi)
+            out[c0:c0 + _CHUNK] = np.bincount(pt, _per_row(_crossings, q, pt, self.faces[face], self.vertices), len(q))
+        for i in np.flatnonzero(np.isnan(out)):
+            rows = np.full(len(self.faces), i)
+            out[i] = np.sum(_per_row(_solid_angles, points, rows, self.faces, self.vertices)) / (4.0 * np.pi)
+        return out
 
     def distances(self, points: np.ndarray) -> np.ndarray:
         """Exact closest-triangle distances: a point's bound is its distance to
@@ -320,7 +321,8 @@ class _MeshIndex:
 
 def winding_numbers(mesh: TriangleMesh, points: np.ndarray) -> np.ndarray:
     """Generalized winding number of each query point (1 inside, 0 outside
-    for watertight outward-wound meshes), summed exactly over a face BVH."""
+    for watertight outward-wound meshes): certified ray crossings through a
+    face BVH on a closed mesh, else the solid-angle sum over every face."""
     return _MeshIndex(mesh).winding_numbers(np.atleast_2d(np.asarray(points, dtype=np.float64)))
 
 

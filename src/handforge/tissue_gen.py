@@ -4,9 +4,10 @@ strut supports, and account for printable material volume.
 
 Offsetting is per-vertex along area-weighted normals; self-intersections
 are detected (sparse grid candidates, Moller-Trumbore edge tests) and
-reported, never repaired. The orientation, containment (winding number)
-and gap (point-surface distance) checks test every edge or vertex, the
-last two through the face BVH of `primitives`.
+reported, never repaired. The orientation, containment and gap checks test
+every edge or vertex, the last two through the face BVH of `primitives`:
+on the closed segment the winding number is a count of certified ray
+crossings, and the gap is the exact point-surface distance.
 """
 
 from __future__ import annotations

@@ -12,6 +12,9 @@ hold the new code to it.
 - `clip_by_plane`: per-face loop with a dict of cut edges and tuple vertices.
   It duplicates a vertex that lies on the plane and returns an empty mesh
   when only degenerate faces survive.
+- `weld`: `np.unique(axis=0)` over the soup's rows, then a first-appearance
+  pass with `np.minimum.at`.
+- `edge_counts`: `np.unique(axis=0)` over sorted edge rows.
 """
 
 from __future__ import annotations
@@ -264,3 +267,25 @@ def clip_by_plane(mesh: TriangleMesh, point, normal, cap: bool = True) -> Triang
     remap = np.full(len(varr), -1, dtype=np.int64)
     remap[used] = np.arange(len(used))
     return TriangleMesh(varr[used], remap[farr], mesh.name)
+
+
+def weld(triangles: np.ndarray, name=None) -> TriangleMesh:
+    """Index a triangle soup, merging exactly-equal coordinates."""
+    flat = triangles.reshape(-1, 3)
+    uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
+    # preserve first-appearance order for stable output
+    order = np.full(len(uniq), len(flat), dtype=np.int64)
+    np.minimum.at(order, inverse, np.arange(len(flat)))
+    rank = np.argsort(order, kind="stable")
+    pos = np.empty(len(uniq), dtype=np.int64)
+    pos[rank] = np.arange(len(uniq))
+    mesh = TriangleMesh(uniq[rank], pos[inverse].reshape(-1, 3), name)
+    mesh.validate()
+    return mesh
+
+
+def edge_counts(faces: np.ndarray):
+    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    e = np.sort(e, axis=1)
+    _, counts = np.unique(e, axis=0, return_counts=True)
+    return counts

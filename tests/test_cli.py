@@ -1,5 +1,7 @@
 import json
+import shutil
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +93,21 @@ class TestValidate:
         result = run("validate", "--config", "config.json")
         assert result.exit_code == 0, result.output
         assert "validation OK" in result.output
+
+    def test_moved_workspace_runs_from_any_directory(self, tmp_path, monkeypatch):
+        # config paths are relative to the config file, not the working directory
+        fixtures.write_demo(tmp_path / "written")
+        shutil.copytree(tmp_path / "written", tmp_path / "moved")
+        shutil.rmtree(tmp_path / "written")
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        config = str(Path("..") / "moved" / "config.json")
+        result = run("validate", "--config", config)
+        assert result.exit_code == 0, result.output
+        result = run("fit-bones", "--config", config)
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "moved" / "output" / "transforms.json").is_file()
+        assert list((tmp_path / "elsewhere").iterdir()) == []
 
 
 class TestFitBones:

@@ -1,8 +1,9 @@
 """Properties that hold the array code to the brute-force oracles in
 `oracles.py`: the same self-intersection pair sets, a capped result that is
-the sorted prefix, bit-identical ray casts, and for the face BVH queries
+the sorted prefix, bit-identical ray casts, for the face BVH queries
 bit-identical point-surface distances and winding numbers within 1e-10
-with the same containment decisions.
+with the same containment decisions, and the STL weld and edge counts of
+the `np.unique(axis=0)` code they replaced.
 
 The array scan sums the Moller-Trumbore dot products in another order than
 the oracle's scalar `np.dot`, so the two can disagree where that is pure
@@ -17,12 +18,14 @@ degenerate faces survive it returns an empty mesh where `clip_by_plane`
 raises; both are faults the array code mends, so the property draws planes
 clear of every vertex and counts an empty oracle result as that error.
 
-The BVH sums a winding number in another order than the oracle too. Where
-the point lies on the surface and the exact value is 1/2 (a vertex inside a
-flat piece of a closed mesh, such as a cap centre of a clipped hull), both
-sums are 1/2 up to rounding and inside/outside is undefined, so the
-containment decision `w < 0.5` may differ only at points whose oracle
-distance to the surface is exactly 0.
+A winding number on a closed mesh is an exact integer count of certified
+ray crossings, which the oracle's sum approaches up to rounding. A point
+with an undecided crossing, which every point on the surface has, and every
+point of an open mesh get the oracle's own sum, bit for bit. The properties
+allow more than that: values within 1e-10, and a containment decision
+`w < 0.5` that may differ where the point lies on the surface (oracle
+distance exactly 0), where the exact value can be 1/2, as at a vertex inside
+a flat piece of a closed mesh.
 """
 
 import numpy as np
@@ -252,3 +255,140 @@ def test_clip_by_plane_matches_oracle(mesh, where, normal, cap):
     assume(np.all(np.abs((mesh.vertices - point) @ (np.array(normal) / np.linalg.norm(normal))) > 1e-12))
     assert (clip_outcome(primitives.clip_by_plane, mesh, point, normal, cap)
             == clip_outcome(oracles.clip_by_plane, mesh, point, normal, cap))
+
+
+# Crossings: the ray of `winding_numbers` through a vertex, along an edge or
+# in a face's plane, and points on the surface, must leave the crossing
+# count undecided and fall back to the solid-angle sum, which is the
+# oracle's, bit for bit. RAY has components m / 16, so its small multiples
+# below are exact and the degenerate positions are exact too.
+RAY = primitives._RAY
+
+
+def assert_fallback_bit_identical(mesh, points):
+    got = primitives.winding_numbers(mesh, points)
+    want = oracles.winding_numbers(mesh, points)
+    assert got.tobytes() == want.tobytes()
+
+
+def undecided_rows(mesh, point) -> int:
+    tri = mesh.corner_points
+    return int(np.isnan(primitives._crossings(np.broadcast_to(point, (len(tri), 3)), *tri.transpose(1, 0, 2))).sum())
+
+
+def test_crossing_ray_through_cube_corner():
+    cube = primitives.cube(2.0)
+    cube = TriangleMesh(cube.vertices + (RAY - 1.0), cube.faces)  # corner (1, 1, 1) moves to RAY
+    assert np.all(cube.vertices == RAY, axis=1).sum() == 1
+    inside, outside = np.zeros(3), -3.0 * RAY  # both rays leave through the corner
+    for point in (inside, outside):
+        assert undecided_rows(cube, point) > 0
+    points = np.array([inside, outside, -RAY])
+    assert_fallback_bit_identical(cube, points)
+    assert np.array_equal(np.round(oracles.winding_numbers(cube, points)), [1.0, 0.0, 1.0])
+    assert_queries_match_oracle(cube, np.vstack([points, query_points(cube, 0)]))
+
+
+def test_crossing_ray_along_an_edge():
+    tet = primitives.convex_hull_mesh(np.array([RAY, 2.0 * RAY, [1.5, 0.0, 0.0], [0.0, 1.5, 0.0]]))
+    on_edge = 1.5 * RAY
+    for point in (np.zeros(3), -RAY, on_edge):  # the ray runs along the edge RAY -> 2 RAY
+        assert undecided_rows(tet, point) > 0
+    points = np.array([np.zeros(3), -RAY, on_edge, tet.vertices.mean(axis=0)])
+    assert_fallback_bit_identical(tet, points[:3])
+    assert_queries_match_oracle(tet, np.vstack([points, query_points(tet, 1)]))
+
+
+def test_crossing_ray_in_a_face_plane():
+    # face (2 RAY, RAY + u, RAY - u) spans a plane through 0 that holds the ray
+    u, w = np.array([0.5, -0.5, 0.0]), np.array([0.0, 0.5, -0.5])
+    tet = primitives.convex_hull_mesh(np.array([2.0 * RAY, RAY + u, RAY - u, RAY + w]))
+    for point in (np.zeros(3), -RAY):
+        assert undecided_rows(tet, point) > 0
+    points = np.array([np.zeros(3), -RAY, tet.vertices.mean(axis=0)])
+    assert_fallback_bit_identical(tet, points[:2])
+    assert_queries_match_oracle(tet, np.vstack([points, query_points(tet, 2)]))
+
+
+def test_crossing_point_on_a_face():
+    cube = primitives.cube(2.0, center=(0.25, -0.5, 0.125))
+    lo, hi = cube.vertices.min(axis=0), cube.vertices.max(axis=0)
+    mid = (lo + hi) / 2.0
+    on_faces = np.array([[hi[0], mid[1] + 0.25, mid[2] - 0.5], [mid[0] - 0.125, lo[1], mid[2]],
+                         [mid[0], mid[1], hi[2]], *cube.vertices])
+    assert np.all(oracles.point_surface_distance(cube, on_faces) == 0.0)
+    assert_fallback_bit_identical(cube, on_faces)
+    sphere = primitives.icosphere(3.0, 2)
+    assert_queries_match_oracle(sphere, np.vstack([sphere.vertices, sphere.corner_points.mean(axis=1)]))
+
+
+def test_crossing_interpenetrating_spheres_count_twice():
+    mesh = mio.merge_meshes([primitives.icosphere(10, 3), primitives.icosphere(10, 3, center=(3, 0, 0))])
+    lens = np.array([[1.5, 0.0, 0.0], [1.5, 2.0, -1.0], [0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+    assert np.array_equal(primitives.winding_numbers(mesh, lens), [2.0, 2.0, 2.0, 2.0])
+    assert np.abs(oracles.winding_numbers(mesh, lens) - 2.0).max() <= WINDING_TOL
+    assert_queries_match_oracle(mesh, np.vstack([lens, query_points(mesh, 3)]))
+
+
+def test_crossing_reversed_face_takes_the_exact_sum():
+    sphere = primitives.icosphere(4.0, 2, center=(0.5, 0.25, -1.0))
+    faces = sphere.faces.copy()
+    faces[0] = faces[0, ::-1]  # watertight, but three edges have net count +-2
+    mesh = TriangleMesh(sphere.vertices, faces)
+    assert mio.analyze_mesh(mesh).watertight
+    assert_fallback_bit_identical(mesh, query_points(mesh, 4))
+
+
+@pytest.mark.parametrize("count", [1, primitives._CHUNK - 1, primitives._CHUNK + 1, 2 * primitives._CHUNK + 5])
+def test_crossing_point_count_off_the_chunk_size(count):
+    mesh = mio.merge_meshes([primitives.icosphere(5.0, 2), primitives.cube(4.0, center=(4.0, 1.0, 0.0))])
+    rng = np.random.default_rng(count)
+    points = rng.uniform(-6.0, 7.0, size=(count, 3))
+    got, want = primitives.winding_numbers(mesh, points), oracles.winding_numbers(mesh, points)
+    assert np.array_equal(got, np.round(want)) and np.abs(got - want).max() <= WINDING_TOL
+
+
+# Weld and edge counts: the sort-based code against the `np.unique(axis=0)`
+# code it replaced. Only the sign of a welded zero may differ: the new weld
+# keeps the first appearance's.
+
+coordinate = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 3e7]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def soups(draw):
+    """Triangle soups whose corners and coordinates repeat."""
+    pool = np.array(draw(st.lists(st.tuples(coordinate, coordinate, coordinate), min_size=1, max_size=12)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=3, max_size=120))
+    return pool[picks[:len(picks) // 3 * 3]].reshape(-1, 3, 3)
+
+
+def weld_outcome(weld, tris):
+    try:
+        return weld(tris)
+    except MeshInvariantError as err:
+        return str(err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(soups())
+def test_weld_matches_oracle(tris):
+    got, want = weld_outcome(mio._weld, tris), weld_outcome(oracles.weld, tris)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.faces.tobytes() == want.faces.tobytes()
+    assert np.array_equal(got.vertices, want.vertices)
+    flat = tris.reshape(-1, 3)
+    first = np.unique(got.faces.ravel(), return_index=True)[1]  # vertex k first appears at flat[first[k]]
+    assert got.vertices.tobytes() == flat[first].tobytes()
+    if not np.signbit(flat[flat == 0.0]).any():
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 40), st.integers(0, 2**32 - 1))
+def test_edge_counts_match_oracle(vertex_count, seed):
+    faces = np.random.default_rng(seed).integers(0, vertex_count, size=(3 * vertex_count, 3))
+    got, want = mio._edge_counts(faces), oracles.edge_counts(faces)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
