@@ -71,15 +71,20 @@ def _read_landmarks(path: Path, source: str):
         raise click.ClickException(f"{path}: {exc}")
 
 
+def _read_bone_mesh(directory: Path, bone_id: str, missing: str):
+    """The bone's mesh in directory, read from <bone_id>.stl, else <bone_id>.obj."""
+    found = next((p for p in (directory / f"{bone_id}{ext}" for ext in (".stl", ".obj")) if p.is_file()), None)
+    if found is None:
+        raise click.UsageError(missing)
+    return _read_mesh(found)
+
+
 def _load_template_set(template_dir: Path, topology) -> BoneTemplateSet:
     lms = _read_landmarks(template_dir / "landmarks.json", "template")
-    meshes = {}
-    for bone_id in topology.bone_ids:
-        candidates = [template_dir / f"{bone_id}{ext}" for ext in (".stl", ".obj")]
-        found = next((c for c in candidates if c.is_file()), None)
-        if found is None:
-            raise click.UsageError(f"template mesh for {bone_id} not found in {template_dir}")
-        meshes[bone_id] = _read_mesh(found)
+    meshes = {
+        bone_id: _read_bone_mesh(template_dir, bone_id, f"template mesh for {bone_id} not found in {template_dir}")
+        for bone_id in topology.bone_ids
+    }
     return BoneTemplateSet(meshes=meshes, landmarks=lms)
 
 
@@ -183,10 +188,7 @@ def gen_tissue(config_path, bone_id, sigma, out_dir):
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"invalid tube spec: {exc}")
     out = Path(out_dir or cfg.get("out_dir", "."))
-    bone_path = out / f"{bone_id}.stl"
-    if not bone_path.is_file():
-        raise click.UsageError(f"fitted bone not found: {bone_path} (run fit-bones first)")
-    bone = _read_mesh(bone_path)
+    bone = _read_bone_mesh(out, bone_id, f"fitted bone not found: {out / bone_id}.stl or .obj (run fit-bones first)")
     scan = _read_mesh(_config_path(cfg, "scan"))
     try:
         segment = tissue_gen.extract_segment(scan, bone)

@@ -118,29 +118,23 @@ def resample_curve(curve: DeformationCurve, grid) -> DeformationCurve:
     return DeformationCurve(grid, np.interp(grid, curve.strains, curve.forces), curve.label)
 
 
-def common_grid(a: DeformationCurve, b: DeformationCurve, points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
+def common_grid(a: DeformationCurve, b: DeformationCurve) -> np.ndarray:
     lo = max(a.min_strain, b.min_strain)
     hi = min(a.max_strain, b.max_strain)
     if lo >= hi:
         raise EmptyOverlap(f"curves {a.label!r} and {b.label!r} have disjoint strain ranges")
-    return np.linspace(lo, hi, points)
+    return np.linspace(lo, hi, DEFAULT_GRID_POINTS)
 
 
-def curve_distance(a: DeformationCurve, b: DeformationCurve,
-                   points: int = DEFAULT_GRID_POINTS, metric: str = "rms") -> float:
-    """RMS (default) or max-abs force difference over the common strain grid."""
-    grid = common_grid(a, b, points)
+def curve_distance(a: DeformationCurve, b: DeformationCurve) -> float:
+    """RMS force difference over the common strain grid."""
+    grid = common_grid(a, b)
     fa = resample_curve(a, grid).forces
     fb = resample_curve(b, grid).forces
-    if metric == "rms":
-        return float(np.sqrt(np.mean((fa - fb) ** 2)))
-    if metric == "max_abs":
-        return float(np.max(np.abs(fa - fb)))
-    raise ValueError(f"unknown metric {metric!r}")
+    return float(np.sqrt(np.mean((fa - fb) ** 2)))
 
 
-def select_thickness(candidates: list[ThicknessCandidate], human: DeformationCurve,
-                     points: int = DEFAULT_GRID_POINTS, metric: str = "rms"):
+def select_thickness(candidates: list[ThicknessCandidate], human: DeformationCurve):
     """Pick the sigma whose curve is closest to the human reference.
 
     Returns (sigma_star, {sigma: distance}); ties break toward smaller sigma.
@@ -150,7 +144,7 @@ def select_thickness(candidates: list[ThicknessCandidate], human: DeformationCur
     distances = {}
     for cand in candidates:
         try:
-            distances[cand.sigma] = curve_distance(cand.curve, human, points, metric)
+            distances[cand.sigma] = curve_distance(cand.curve, human)
         except EmptyOverlap as exc:
             raise EmptyOverlap(f"sigma={cand.sigma}: {exc}") from None
     sigma_star = min(distances, key=lambda s: (distances[s], s))

@@ -88,16 +88,20 @@ def signed_volume(mesh: TriangleMesh) -> float:
     return float(np.einsum("ij,ij->i", p[:, 0], np.cross(p[:, 1], p[:, 2])).sum() / 6.0)
 
 
-def _edge_counts(faces: np.ndarray):
+def _edge_table(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per undirected edge, in key order: the number of faces using it and its
+    net direction, uses from the lower vertex index minus uses from the higher."""
     u, v = faces.ravel(), faces[:, [1, 2, 0]].ravel()
-    return np.unique(np.minimum(u, v) * (faces.max() + 1) + np.maximum(u, v), return_counts=True)[1]
+    _, edge, counts = np.unique(np.minimum(u, v) * (faces.max(initial=0) + 1) + np.maximum(u, v),
+                                return_inverse=True, return_counts=True)
+    return counts, np.bincount(edge, np.sign(v - u), len(counts))
 
 
 def analyze_mesh(mesh: TriangleMesh) -> MeshReport:
     """Edge-manifoldness, watertightness, signed volume and bounding box."""
     if len(mesh.faces) == 0:
         raise EmptyMesh("cannot analyze a mesh with no faces")
-    counts = _edge_counts(mesh.faces)
+    counts = _edge_table(mesh.faces)[0]
     boundary = int(np.sum(counts == 1))
     nonmanifold = int(np.sum(counts > 2))
     return MeshReport(
@@ -138,28 +142,15 @@ def merge_meshes(meshes, name=None) -> TriangleMesh:
 
 def connected_components(mesh: TriangleMesh) -> list[TriangleMesh]:
     """Split a mesh into vertex-connected components."""
-    n = len(mesh.vertices)
-    parent = np.arange(n)
+    from scipy.sparse import coo_matrix, csgraph
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b, c in mesh.faces:
-        ra, rb, rc = find(a), find(b), find(c)
-        parent[rb] = ra
-        parent[rc] = find(rb)
-    roots = np.array([find(i) for i in range(n)])
+    n, f = len(mesh.vertices), mesh.faces
+    graph = coo_matrix((np.ones(2 * len(f)), (f[:, :2].ravel(), f[:, 1:].ravel())), shape=(n, n))
+    face_label = csgraph.connected_components(graph, directed=False)[1][f[:, 0]]
     out = []
-    for r in np.unique(roots[mesh.faces[:, 0]]):
-        fmask = roots[mesh.faces[:, 0]] == r
-        faces = mesh.faces[fmask]
-        used = np.unique(faces)
-        remap = np.full(n, -1, dtype=np.int64)
-        remap[used] = np.arange(len(used))
-        out.append(TriangleMesh(mesh.vertices[used], remap[faces], mesh.name))
+    for label in np.unique(face_label):
+        used, remap = np.unique(f[face_label == label], return_inverse=True)
+        out.append(TriangleMesh(mesh.vertices[used], remap.reshape(-1, 3), mesh.name))
     return out
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MeshInvariantError
-from .mesh_io import TriangleMesh
+from .mesh_io import TriangleMesh, _edge_table
 
 
 def cube(size: float = 1.0, center=(0.0, 0.0, 0.0)) -> TriangleMesh:
@@ -280,8 +280,7 @@ class _MeshIndex:
         both directions), the signed crossings of a ray walked through the boxes
         it meets (Jacobson et al. 2013); at a point with an undecided crossing,
         or on an open mesh, the oracle's solid-angle sum over every face."""
-        u, v = self.faces.ravel(), self.faces[:, [1, 2, 0]].ravel()
-        closed = np.array_equal(np.sort(u * len(self.vertices) + v), np.sort(v * len(self.vertices) + u))
+        closed = not _edge_table(self.faces)[1].any()
         margin, out = self._margin(points), np.full(len(points), np.nan)
         for c0 in range(0, len(points) if closed else 0, _CHUNK):
             q = points[c0:c0 + _CHUNK]

@@ -3,11 +3,12 @@ outward by the wall parameter sigma, assemble the hollow shell with radial
 strut supports, and account for printable material volume.
 
 Offsetting is per-vertex along area-weighted normals; self-intersections
-are detected (sparse grid candidates, Moller-Trumbore edge tests) and
-reported, never repaired. The orientation, containment and gap checks test
-every edge or vertex, the last two through the face BVH of `primitives`:
-on the closed segment the winding number is a count of certified ray
-crossings, and the gap is the exact point-surface distance.
+of the two built walls are detected (sparse grid candidates, Moller-Trumbore
+edge tests) and reported, never repaired. The bone's principal axis sets
+both the segment cuts and the strut directions. The orientation, containment
+and gap checks test every edge or vertex, the last two through the face BVH
+of `primitives`: on the closed segment the winding number is a count of
+certified ray crossings, and the gap is the exact point-surface distance.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import ContainmentError, GapTooSmall, MeshInvariantError, PlacementFailure
 from .mesh_io import (
     TriangleMesh,
-    analyze_mesh,
+    _edge_table,
     merge_meshes,
     signed_volume,
     vertex_normals,
@@ -142,38 +143,23 @@ def find_self_intersections(mesh: TriangleMesh, max_pairs: int = _PAIR_CAP) -> l
     return list(zip(i[order].tolist(), j[order].tolist()))
 
 
-def offset_surface(mesh: TriangleMesh, delta: float, check_intersections: bool = True) -> TriangleMesh:
+def offset_surface(mesh: TriangleMesh, delta: float) -> TriangleMesh:
     """Move every vertex along its area-weighted normal by delta
-    (positive = outward); connectivity is unchanged.
-
-    Self-intersections are reported through SelfIntersectionWarning.
-    """
+    (positive = outward); connectivity is unchanged. Folds are not looked
+    for here: `build_concentric_tube` reports them on the walls it builds."""
     if delta == 0.0:
         return mesh.copy()
-    normals = vertex_normals(mesh)
-    out = TriangleMesh(mesh.vertices + delta * normals, mesh.faces.copy(), mesh.name)
-    if check_intersections:
-        pairs = find_self_intersections(out)
-        if pairs:
-            more = "+" if len(pairs) >= _PAIR_CAP else ""
-            warnings.warn(
-                SelfIntersectionWarning(
-                    f"offset by {delta} mm self-intersects at {len(pairs)}{more} face pairs", pairs
-                ),
-                stacklevel=2,
-            )
-    return out
+    return TriangleMesh(mesh.vertices + delta * vertex_normals(mesh), mesh.faces.copy(), mesh.name)
 
 
 def _require_watertight(mesh: TriangleMesh, label: str):
-    report = analyze_mesh(mesh)
-    if not report.watertight:
+    counts, net = _edge_table(mesh.faces)
+    boundary, nonmanifold = int(np.sum(counts == 1)), int(np.sum(counts > 2))
+    if boundary or nonmanifold:
         raise MeshInvariantError(
-            f"{label} mesh is not watertight "
-            f"({report.boundary_edge_count} boundary, {report.non_manifold_edge_count} non-manifold edges)"
+            f"{label} mesh is not watertight ({boundary} boundary, {nonmanifold} non-manifold edges)"
         )
-    key = mesh.faces * len(mesh.vertices) + np.roll(mesh.faces, -1, axis=1)  # directed edges
-    twice = key.size - len(np.unique(key))  # every edge is in two faces, so a repeat is a misoriented pair
+    twice = int(np.count_nonzero(net))  # an edge of two faces that run it the same way
     if twice:
         raise MeshInvariantError(f"{label} mesh is not consistently oriented ({twice} directed edges used twice)")
 
@@ -188,6 +174,9 @@ def build_concentric_tube(skin_segment: TriangleMesh, bone: TriangleMesh, spec: 
     S while segment pp' stays more than sigma from S, and a closed oriented
     surface keeps its winding number at points it never crosses (Jacobson
     et al. 2013). So w(outer, p') = w(S, p). Prove it anew for other walls.
+
+    Folds of the built walls, outer first, are reported (not repaired) as a
+    SelfIntersectionWarning carrying the face pairs of that wall.
     """
     _require_watertight(skin_segment, "skin segment")
     _require_watertight(bone, "bone")
@@ -202,27 +191,33 @@ def build_concentric_tube(skin_segment: TriangleMesh, bone: TriangleMesh, spec: 
     outer.name = "shell_outer"
     inner = offset_surface(bone, +spec.sigma).flipped()
     inner.name = "shell_inner"
+    for wall, delta in ((outer, -spec.sigma), (inner, spec.sigma)):
+        pairs = find_self_intersections(wall)
+        if pairs:
+            more = "+" if len(pairs) >= _PAIR_CAP else ""
+            warnings.warn(SelfIntersectionWarning(
+                f"offset by {delta} mm self-intersects at {len(pairs)}{more} face pairs", pairs), stacklevel=2)
     return add_supports(ShellModel(outer=outer, inner=inner), spec)
 
 
-def _long_axis(mesh: TriangleMesh) -> np.ndarray:
-    extent = mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0)
-    axis = np.zeros(3)
-    axis[int(np.argmax(extent))] = 1.0
-    return axis
+def _principal_axis(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centroid and unit direction of the points' least-squares line."""
+    center = points.mean(axis=0)
+    return center, np.linalg.svd(points - center, full_matrices=False)[2][0]
 
 
 def add_supports(shell: ShellModel, spec: TubeSpec) -> ShellModel:
     """Append radial strut cylinders bridging the inner and outer walls.
 
-    Rays leave the segment's long axis at mid-length, equally spaced in
-    angle; each strut spans from the inner-wall hit to the outer-wall hit.
+    Rays leave the inner wall's centroid at right angles to its principal
+    axis, the bone's, equally spaced in angle; each strut spans from the
+    inner-wall hit to the outer-wall hit.
     """
     if spec.support_count == 0:
         return shell
     inner_outward = shell.inner.flipped()
-    origin = inner_outward.vertices.mean(axis=0)
-    u, v, _ = _frame_from_axis(_long_axis(shell.outer))
+    origin, axis = _principal_axis(inner_outward.vertices)
+    u, v, _ = _frame_from_axis(axis)
     struts = []
     for k in range(spec.support_count):
         ang = 2.0 * np.pi * k / spec.support_count
@@ -280,8 +275,7 @@ def extract_segment(skin: TriangleMesh, bone: TriangleMesh) -> TriangleMesh:
     """Cut the per-phalanx skin segment: clip the skin with two planes
     perpendicular to the bone's principal axis just beyond its ends, and
     cap the cuts with fans."""
-    center = bone.vertices.mean(axis=0)
-    axis = np.linalg.svd(bone.vertices - center, full_matrices=False)[2][0]
+    center, axis = _principal_axis(bone.vertices)
     t = (bone.vertices - center) @ axis
     hi_point = center + (float(t.max()) + _SEGMENT_MARGIN) * axis
     lo_point = center + (float(t.min()) - _SEGMENT_MARGIN) * axis

@@ -15,6 +15,10 @@ hold the new code to it.
 - `weld`: `np.unique(axis=0)` over the soup's rows, then a first-appearance
   pass with `np.minimum.at`.
 - `edge_counts`: `np.unique(axis=0)` over sorted edge rows.
+- `closed`: the face BVH's closure test, sorted directed-edge keys against
+  their reverses.
+- `misoriented_edges`: the tube builder's orientation count, directed-edge
+  keys that repeat.
 """
 
 from __future__ import annotations
@@ -289,3 +293,13 @@ def edge_counts(faces: np.ndarray):
     e = np.sort(e, axis=1)
     _, counts = np.unique(e, axis=0, return_counts=True)
     return counts
+
+
+def closed(faces: np.ndarray, vertex_count: int) -> bool:
+    u, v = faces.ravel(), faces[:, [1, 2, 0]].ravel()
+    return np.array_equal(np.sort(u * vertex_count + v), np.sort(v * vertex_count + u))
+
+
+def misoriented_edges(faces: np.ndarray, vertex_count: int) -> int:
+    key = faces * vertex_count + np.roll(faces, -1, axis=1)  # directed edges
+    return key.size - len(np.unique(key))  # every edge is in two faces, so a repeat is a misoriented pair

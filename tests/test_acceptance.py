@@ -80,7 +80,7 @@ def test_02_identity_fixture():
 def test_03_sphere_offset_oracle():
     with criterion(3, "inward sphere offset reproduces the analytic radius and volume"):
         mesh = primitives.icosphere(10.0, 6)
-        out = tg.offset_surface(mesh, -0.4, check_intersections=False)
+        out = tg.offset_surface(mesh, -0.4)
         radii = np.linalg.norm(out.vertices, axis=1)
         assert np.abs(radii - 9.6).max() < 1e-6
         exact = 4.0 / 3.0 * math.pi * 9.6 ** 3

@@ -168,6 +168,14 @@ class TestGenTissue:
                      "--bone-id", "index_distal", "--sigma", "0")
         assert result.exit_code == 2
 
+    def test_bone_fitted_as_obj(self, tmp_path):
+        fixtures.write_demo(tmp_path)
+        cfg = str(tmp_path / "config.json")
+        assert run("fit-bones", "--config", cfg, "--format", "obj").exit_code == 0
+        result = run("gen-tissue", "--config", cfg, "--bone-id", "index_distal")
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "output" / "index_distal_shell.stl").is_file()
+
     def test_unfitted_bone(self, demo):
         root, _ = demo
         result = run("gen-tissue", "--config", str(root / "config.json"),

@@ -94,7 +94,6 @@ class TestDistance:
         a = curve([0.0, 1.0], [1.0, 1.0])
         b = curve([0.0, 1.0], [2.0, 2.0])
         assert dfm.curve_distance(a, b) == pytest.approx(1.0)
-        assert dfm.curve_distance(a, b, metric="max_abs") == pytest.approx(1.0)
 
     def test_symmetric(self):
         a = linear_curve(2.0, "a")
@@ -106,11 +105,6 @@ class TestDistance:
         b = curve([0.5, 1.0], [0.0, 1.0])
         with pytest.raises(EmptyOverlap):
             dfm.curve_distance(a, b)
-
-    def test_unknown_metric(self):
-        a = linear_curve(1.0)
-        with pytest.raises(ValueError, match="metric"):
-            dfm.curve_distance(a, a, metric="manhattan")
 
 
 class TestSelectThickness:

@@ -2,8 +2,9 @@
 `oracles.py`: the same self-intersection pair sets, a capped result that is
 the sorted prefix, bit-identical ray casts, for the face BVH queries
 bit-identical point-surface distances and winding numbers within 1e-10
-with the same containment decisions, and the STL weld and edge counts of
-the `np.unique(axis=0)` code they replaced.
+with the same containment decisions, the STL weld and edge counts of the
+`np.unique(axis=0)` code they replaced, and the edge table's closure and
+misoriented-edge verdicts of the two directed-key tests it replaced.
 
 The array scan sums the Moller-Trumbore dot products in another order than
 the oracle's scalar `np.dot`, so the two can disagree where that is pure
@@ -390,5 +391,19 @@ def test_weld_matches_oracle(tris):
 @given(st.integers(3, 40), st.integers(0, 2**32 - 1))
 def test_edge_counts_match_oracle(vertex_count, seed):
     faces = np.random.default_rng(seed).integers(0, vertex_count, size=(3 * vertex_count, 3))
-    got, want = mio._edge_counts(faces), oracles.edge_counts(faces)
+    (got, net), want = mio._edge_table(faces), oracles.edge_counts(faces)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert (not net.any()) == oracles.closed(faces, vertex_count)
+
+
+@settings(max_examples=100, deadline=None)
+@given(meshes, st.integers(0, 2**32 - 1), st.floats(0.0, 0.5))
+def test_edge_table_orientation_matches_oracle(mesh, seed, share):
+    # closed meshes with a random share of their faces reversed
+    faces = mesh.faces.copy()
+    flip = np.random.default_rng(seed).random(len(faces)) < share
+    faces[flip] = faces[flip, ::-1]
+    counts, net = mio._edge_table(faces)
+    assert np.all(counts == 2)
+    assert np.count_nonzero(net) == oracles.misoriented_edges(faces, len(mesh.vertices))
+    assert (not net.any()) == oracles.closed(faces, len(mesh.vertices))

@@ -11,6 +11,9 @@ from handforge.mesh_io import TriangleMesh
 from handforge.tissue_gen import SelfIntersectionWarning, TubeSpec
 
 
+SMALL_BONE = primitives.icosphere(1.0, 1)  # deep inside the merged skins, so its wall has no folds
+
+
 def sphere_volume(r):
     return 4.0 / 3.0 * np.pi * r ** 3
 
@@ -32,22 +35,21 @@ class TestOffsetSurface:
         assert out.vertices is not skin.vertices
 
     def test_inward_sphere_radii(self, ico10_6):
-        out = tg.offset_surface(ico10_6, -0.4, check_intersections=False)
+        out = tg.offset_surface(ico10_6, -0.4)
         radii = np.linalg.norm(out.vertices, axis=1)
         assert np.abs(radii - 9.6).max() < 1e-6
 
     def test_inward_sphere_volume(self, ico10_6):
-        got = mio.signed_volume(tg.offset_surface(ico10_6, -0.4, check_intersections=False))
+        got = mio.signed_volume(tg.offset_surface(ico10_6, -0.4))
         assert got == pytest.approx(sphere_volume(9.6), rel=5e-3)
 
     def test_outward_sphere_volume(self, ico10_6):
-        got = mio.signed_volume(tg.offset_surface(ico10_6, 0.4, check_intersections=False))
+        got = mio.signed_volume(tg.offset_surface(ico10_6, 0.4))
         assert got == pytest.approx(sphere_volume(10.4), rel=5e-3)
 
     def test_offsets_compose(self, skin):
-        a = tg.offset_surface(tg.offset_surface(skin, -0.3, check_intersections=False),
-                              -0.5, check_intersections=False)
-        b = tg.offset_surface(skin, -0.8, check_intersections=False)
+        a = tg.offset_surface(tg.offset_surface(skin, -0.3), -0.5)
+        b = tg.offset_surface(skin, -0.8)
         # sphere normals stay nearly radial under offsetting, so deltas add
         assert np.abs(a.vertices - b.vertices).max() < 1e-3
 
@@ -80,7 +82,7 @@ class TestSelfIntersections:
         spike = primitives.cube(2.0, center=(10.0, 0.0, 0.0))
         merged = mio.merge_meshes([base, spike])
         with pytest.warns(SelfIntersectionWarning) as rec:
-            tg.offset_surface(merged, 1e-6)
+            tg.build_concentric_tube(merged, SMALL_BONE, TubeSpec(sigma=1e-6, support_count=0))
         assert len(rec[0].message.pairs) > 0
 
     @pytest.mark.parametrize("other, capped", [
@@ -90,7 +92,7 @@ class TestSelfIntersections:
     def test_warning_count_marks_cap(self, other, capped):
         merged = mio.merge_meshes([primitives.icosphere(10.0, 3), other])
         with pytest.warns(SelfIntersectionWarning) as rec:
-            tg.offset_surface(merged, 1e-6)
+            tg.build_concentric_tube(merged, SMALL_BONE, TubeSpec(sigma=1e-6, support_count=0))
         n = len(rec[0].message.pairs)
         assert (n == 100) == capped
         assert f"at {n}{'+' if capped else ''} face pairs" in str(rec[0].message)
@@ -233,6 +235,21 @@ class TestSupports:
         radii = np.linalg.norm(shell.supports.vertices, axis=1)
         assert radii.min() < 5.4 + 0.6
         assert radii.max() > 9.6 - 0.6
+
+    def test_struts_radial_on_short_wide_segment(self):
+        # the segment is 16 mm long and 24 mm wide, so its longest box side
+        # is not the bone axis; every strut must still leave that axis at
+        # right angles and end between the cut planes
+        skin = primitives.capsule((0, -30, 0), (0, 30, 0), 12.0)
+        bone = primitives.capsule((0, -3, 0), (0, 3, 0), 3.0)
+        seg = tg.extract_segment(skin, bone)
+        shell = tg.build_concentric_tube(seg, bone, TubeSpec(sigma=0.4, support_count=4))
+        ends = shell.supports.vertices.reshape(4, -1, 3)[:, -2:]  # each cylinder's p0, p1 come last
+        direction = ends[:, 1] - ends[:, 0]
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        assert np.abs(direction[:, 1]).max() <= 1e-9
+        ys = seg.vertices[:, 1]
+        assert np.all((ends[..., 1] > ys.min()) & (ends[..., 1] < ys.max()))
 
     def test_no_gap_placement_failure(self, ico10_4):
         # inner wall coincides with outer wall: rays find no span between them
