@@ -141,13 +141,13 @@ def solve_flexion(cfg: FingerConfig, cable_displacement: float) -> JointState:
     Solved by bisecting the constraint multiplier (the multiplier-to-angles
     map is continuous and monotone) until the bracket stops shrinking, then
     polishing one interior joint so the constraint residual drops below
-    RESIDUAL_TARGET. Displacements beyond the all-limits excursion return
-    the all-limits pose, saturated. Raises NonConvergence, naming the
-    design, if the multiplier cannot be bracketed or the residual stays
-    above RESIDUAL_TARGET.
+    RESIDUAL_TARGET. The displacement must be finite and >= 0 (ValueError);
+    one beyond the all-limits excursion returns that pose, saturated.
+    Raises NonConvergence, naming the design, if the multiplier cannot be
+    bracketed or the residual stays above RESIDUAL_TARGET.
     """
-    if cable_displacement < 0:
-        raise ValueError("cable displacement must be >= 0")
+    if not 0 <= cable_displacement < math.inf:
+        raise ValueError(f"cable displacement must be finite and >= 0, got {cable_displacement}")
     if cable_displacement == 0.0:
         return JointState(0.0, 0.0, 0.0)
     lmax = max_displacement(cfg)
@@ -216,8 +216,8 @@ def sweep_trajectory(cfg: FingerConfig, displacement_max: float, steps: int) -> 
     """Fingertip path over uniform cable-displacement samples from 0."""
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    if displacement_max < 0:
-        raise ValueError("displacement_max must be >= 0")
+    if not 0 <= displacement_max < math.inf:
+        raise ValueError(f"displacement_max must be finite and >= 0, got {displacement_max}")
     displacements = np.linspace(0.0, displacement_max, steps)
     points = [fingertip_position(cfg, solve_flexion(cfg, float(d))) for d in displacements]
     return Trajectory(np.asarray(points), displacements)

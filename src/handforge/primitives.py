@@ -2,10 +2,11 @@
 
 Shapes (cube, icosphere, cylinder, capsule, convex hull) serve as test
 oracles, template bones and demo fixtures. The query helpers back the
-tissue-shell builder: winding numbers and point-surface distances answer
-through a face BVH (`_MeshIndex`; exact: certified ray crossings, not an
-approximation), ray casting scans every face, and plane clipping splits all
-faces at once with array code.
+tissue-shell builder: winding numbers and the smallest point-surface
+distance of a point set (the skin-to-bone gap) answer through a face BVH
+(`_MeshIndex`; exact: certified ray crossings and closest points on the
+faces a box test leaves, not an approximation), ray casting scans every
+face, and plane clipping splits all faces at once with array code.
 """
 
 from __future__ import annotations
@@ -231,6 +232,15 @@ def _box_distance(q, lo, hi) -> np.ndarray:
     return np.linalg.norm(np.maximum(np.maximum(lo - q, q - hi), 0.0), axis=1)
 
 
+def _ray_meets(q, lo, hi, margin) -> np.ndarray:
+    """Slab test, row by row: does the ray q + t _RAY, t >= 0, meet the box
+    [lo, hi] grown by margin? An inverted box never does. _RAY > 0, so each
+    slab's entry is t0 and its exit t1."""
+    t0, t1 = (lo - margin - q) / _RAY, (hi + margin - q) / _RAY
+    near = np.maximum(np.maximum(t0[:, 0], t0[:, 1]), np.maximum(t0[:, 2], 0.0))
+    return near <= np.minimum(np.minimum(t1[:, 0], t1[:, 1]), t1[:, 2])
+
+
 class _MeshIndex:
     """Face BVH: an implicit binary tree (root 1, children 2n and 2n + 1) whose
     leaves hold _LEAF faces each in the Morton (Z-curve) order of the face
@@ -277,45 +287,45 @@ class _MeshIndex:
 
     def winding_numbers(self, points: np.ndarray) -> np.ndarray:
         """Exact winding numbers: on a closed mesh (each edge used as often in
-        both directions), the signed crossings of a ray walked through the boxes
-        it meets (Jacobson et al. 2013); at a point with an undecided crossing,
-        or on an open mesh, the oracle's solid-angle sum over every face."""
+        both directions), the signed crossings of a ray with the faces whose
+        boxes it meets, found through the node boxes it meets (Jacobson et al.
+        2013); at a point with an undecided crossing, or on an open mesh, the
+        oracle's solid-angle sum over every face."""
         closed = not _edge_table(self.faces)[1].any()
         margin, out = self._margin(points), np.full(len(points), np.nan)
         for c0 in range(0, len(points) if closed else 0, _CHUNK):
             q = points[c0:c0 + _CHUNK]
-
-            def enter(pt, node):
-                t0 = (self.lo[node] - margin - q[pt]) / _RAY
-                t1 = (self.hi[node] + margin - q[pt]) / _RAY
-                return np.maximum(t0.max(axis=1), 0.0) <= t1.min(axis=1)
-
-            pt, face = self._descend(len(q), enter)
+            pt, face = self._descend(len(q), lambda pt, node: _ray_meets(q[pt], self.lo[node], self.hi[node], margin))
+            keep = _ray_meets(q[pt], self.face_lo[face], self.face_hi[face], margin)
+            pt, face = pt[keep], face[keep]
             out[c0:c0 + _CHUNK] = np.bincount(pt, _per_row(_crossings, q, pt, self.faces[face], self.vertices), len(q))
         for i in np.flatnonzero(np.isnan(out)):
             rows = np.full(len(self.faces), i)
             out[i] = np.sum(_per_row(_solid_angles, points, rows, self.faces, self.vertices)) / (4.0 * np.pi)
         return out
 
-    def distances(self, points: np.ndarray) -> np.ndarray:
-        """Exact closest-triangle distances: a point's bound is its distance to
-        the nearest representative vertex met so far, and the nodes and faces
-        whose boxes lie beyond it (plus a rounding margin) are pruned."""
-        margin, out = self._margin(points), np.empty(len(points))
+    def gap(self, points: np.ndarray) -> float:
+        """Exact smallest closest-triangle distance over all the points (inf for
+        none). One bound serves all points, carried from chunk to chunk: the
+        nearest representative vertex met so far, then the best exact distance.
+        Boxes beyond it (plus a rounding margin) are pruned, never the row of
+        the minimum, so the result is the brute-force one, bit for bit, even
+        where a chunk loses every row."""
+        margin, bound, best = self._margin(points), np.inf, np.inf
         for c0 in range(0, len(points), _CHUNK):
             q = points[c0:c0 + _CHUNK]
-            bound = np.full(len(q), np.inf)
 
             def enter(pt, node):
-                np.minimum.at(bound, pt, np.linalg.norm(self.rep[node] - q[pt], axis=1))
-                return _box_distance(q[pt], self.lo[node], self.hi[node]) <= bound[pt] + margin
+                nonlocal bound
+                bound = min(bound, np.linalg.norm(self.rep[node] - q[pt], axis=1).min(initial=np.inf))
+                return _box_distance(q[pt], self.lo[node], self.hi[node]) <= bound + margin
 
             pt, face = self._descend(len(q), enter)
-            keep = _box_distance(q[pt], self.face_lo[face], self.face_hi[face]) <= bound[pt] + margin
-            pt, face, best = pt[keep], face[keep], np.full(len(q), np.inf)
-            np.minimum.at(best, pt, _per_row(_closest_distances, q, pt, self.faces[face], self.vertices))
-            out[c0:c0 + _CHUNK] = best
-        return out
+            keep = _box_distance(q[pt], self.face_lo[face], self.face_hi[face]) <= bound + margin
+            best = min(best, _per_row(_closest_distances, q, pt[keep], self.faces[face[keep]], self.vertices)
+                       .min(initial=np.inf))
+            bound = min(bound, best)
+        return float(best)
 
 
 def winding_numbers(mesh: TriangleMesh, points: np.ndarray) -> np.ndarray:
@@ -325,10 +335,10 @@ def winding_numbers(mesh: TriangleMesh, points: np.ndarray) -> np.ndarray:
     return _MeshIndex(mesh).winding_numbers(np.atleast_2d(np.asarray(points, dtype=np.float64)))
 
 
-def point_surface_distance(mesh: TriangleMesh, points: np.ndarray) -> np.ndarray:
-    """Unsigned distance from each point to the closest triangle, searched
-    over a face BVH."""
-    return _MeshIndex(mesh).distances(np.atleast_2d(np.asarray(points, dtype=np.float64)))
+def surface_gap(mesh: TriangleMesh, points: np.ndarray) -> float:
+    """Smallest unsigned distance from any of the points to the closest
+    triangle (inf for no points), searched over a face BVH with one bound."""
+    return _MeshIndex(mesh).gap(np.atleast_2d(np.asarray(points, dtype=np.float64)))
 
 
 def _moller_trumbore(origin, direction, tri):

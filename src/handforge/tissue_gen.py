@@ -8,7 +8,8 @@ edge tests) and reported, never repaired. The bone's principal axis sets
 both the segment cuts and the strut directions. The orientation, containment
 and gap checks test every edge or vertex, the last two through the face BVH
 of `primitives`: on the closed segment the winding number is a count of
-certified ray crossings, and the gap is the exact point-surface distance.
+certified ray crossings, and the gap is the exact smallest distance from
+any bone vertex to the segment, found in one pruned query.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .primitives import (
     _moller_trumbore,
     clip_by_plane,
     cylinder,
-    point_surface_distance,
     ray_hits,
+    surface_gap,
     winding_numbers,
 )
 
@@ -182,7 +183,7 @@ def build_concentric_tube(skin_segment: TriangleMesh, bone: TriangleMesh, spec: 
     _require_watertight(bone, "bone")
     if np.any(winding_numbers(skin_segment, bone.vertices) < 0.5):
         raise ContainmentError("bone is not strictly inside the skin segment")
-    gap = float(point_surface_distance(skin_segment, bone.vertices).min())
+    gap = surface_gap(skin_segment, bone.vertices)
     if spec.sigma >= gap / 2.0:
         raise GapTooSmall(
             f"sigma {spec.sigma} mm >= half the minimum skin-to-bone gap {gap:.3f} mm"

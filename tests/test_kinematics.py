@@ -128,6 +128,11 @@ class TestSolveFlexion:
         with pytest.raises(ValueError):
             solve_flexion(make_config(), -1.0)
 
+    @pytest.mark.parametrize("d", [math.nan, math.inf])
+    def test_non_finite_displacement(self, d):
+        with pytest.raises(ValueError, match=f"finite and >= 0, got {d}"):
+            solve_flexion(make_config(), d)
+
     def test_constraint_satisfied(self):
         cfg = make_config()
         for d in (1.0, 5.0, 12.0, 20.0):
@@ -214,6 +219,11 @@ class TestSweep:
     def test_invalid_steps(self):
         with pytest.raises(ValueError):
             sweep_trajectory(make_config(), 10.0, 1)
+
+    @pytest.mark.parametrize("dmax", [math.nan, math.inf, -1.0])
+    def test_invalid_displacement_max(self, dmax):
+        with pytest.raises(ValueError, match=f"displacement_max must be finite and >= 0, got {dmax}"):
+            sweep_trajectory(make_config(), dmax, 4)
 
     def test_metrics(self):
         traj = sweep_trajectory(make_config(), 15.0, 20)

@@ -1,10 +1,11 @@
 """Properties that hold the array code to the brute-force oracles in
 `oracles.py`: the same self-intersection pair sets, a capped result that is
-the sorted prefix, bit-identical ray casts, for the face BVH queries
-bit-identical point-surface distances and winding numbers within 1e-10
-with the same containment decisions, the STL weld and edge counts of the
-`np.unique(axis=0)` code they replaced, and the edge table's closure and
-misoriented-edge verdicts of the two directed-key tests it replaced.
+the sorted prefix, bit-identical ray casts, for the face BVH queries the
+bit-identical smallest point-surface distance of a point set and of single
+points and winding numbers within 1e-10 with the same containment
+decisions, the STL weld and edge counts of the `np.unique(axis=0)` code
+they replaced, and the edge table's closure and misoriented-edge verdicts
+of the two directed-key tests it replaced.
 
 The array scan sums the Moller-Trumbore dot products in another order than
 the oracle's scalar `np.dot`, so the two can disagree where that is pure
@@ -153,9 +154,10 @@ def query_points(mesh, seed, count=120):
 
 
 def assert_queries_match_oracle(mesh, points):
-    got = primitives.point_surface_distance(mesh, points)
     want = oracles.point_surface_distance(mesh, points)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.float64(primitives.surface_gap(mesh, points)).tobytes() == want.min(initial=np.inf).tobytes()
+    for i in np.linspace(0, len(points) - 1, 5).astype(int):
+        assert np.float64(primitives.surface_gap(mesh, points[i])).tobytes() == want[i].tobytes()
     on_surface = want == 0.0
     got = primitives.winding_numbers(mesh, points)
     want = oracles.winding_numbers(mesh, points)
@@ -230,9 +232,33 @@ def test_queries_just_off_a_flat_patch():
 
 def test_queries_on_no_points():
     mesh = primitives.icosphere(1.0, 1)
-    for query in (primitives.winding_numbers, primitives.point_surface_distance):
-        out = query(mesh, np.zeros((0, 3)))
-        assert out.shape == (0,) and out.dtype == np.float64
+    out = primitives.winding_numbers(mesh, np.zeros((0, 3)))
+    assert out.shape == (0,) and out.dtype == np.float64
+    assert primitives.surface_gap(mesh, np.zeros((0, 3))) == np.inf
+
+
+@pytest.mark.parametrize("near_first", [True, False])
+def test_gap_with_a_chunk_pruned_entirely(near_first):
+    # near first, the bound carried out of the near chunk prunes the whole far
+    # chunk at the root; far first, the far chunk's bound carries into the near one
+    mesh = primitives.icosphere(2.0, 2, center=(0.5, -0.25, 0.0))
+    rng = np.random.default_rng(5)
+    directions = rng.normal(size=(2 * primitives._CHUNK, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    near = mesh.vertices.mean(axis=0) + 2.05 * directions[:primitives._CHUNK]
+    far = 50.0 + directions[primitives._CHUNK:]
+    index = primitives._MeshIndex(mesh)
+    assert primitives._box_distance(far, index.lo[1], index.hi[1]).min() > oracles.point_surface_distance(mesh, near).max()
+    assert_queries_match_oracle(mesh, np.vstack([near, far] if near_first else [far, near]))
+
+
+def test_gap_of_points_on_the_surface_is_zero():
+    cube = primitives.cube(2.0, center=(0.25, -0.5, 0.125))
+    lo, hi = cube.vertices.min(axis=0), cube.vertices.max(axis=0)
+    on_faces = np.array([[hi[0], 0.0, 0.0], [0.5, lo[1], -0.25], [0.0, 0.0, hi[2]], *cube.vertices])
+    assert np.all(oracles.point_surface_distance(cube, on_faces) == 0.0)
+    assert primitives.surface_gap(cube, on_faces) == 0.0
+    assert all(primitives.surface_gap(cube, p) == 0.0 for p in on_faces)
 
 
 def clip_outcome(clip, mesh, point, normal, cap):

@@ -209,7 +209,7 @@ def skins_and_bones(draw):
 def test_inner_wall_inside_outer_wall(skin_and_bone, u):
     # the invariant build_concentric_tube states instead of checking it
     skin, bone = skin_and_bone
-    gap = float(primitives.point_surface_distance(skin, bone.vertices).min())
+    gap = primitives.surface_gap(skin, bone.vertices)
     shell = tg.build_concentric_tube(skin, bone, TubeSpec(sigma=u * gap / 2.0, support_count=0))
     w = oracles.winding_numbers(shell.outer, shell.inner.flipped().vertices)
     assert w.min() >= 0.5
