@@ -12,12 +12,7 @@ the oracle's scalar `np.dot`, so the two can disagree where that is pure
 rounding: on an edge that lies parallel to the other face's plane (coplanar
 pieces of one clipped facet, duplicated shapes), the determinant is noise
 and so is each scan's verdict. A pair may differ only in that case, which
-is fixed beforehand from float64's epsilon. The noise has two sources: the
-rounding of the determinant's own products, relative to |e1| |d| |e2|, and
-the rounding of the vertices themselves. A vertex cut by a plane lies on its
-facet only to within epsilon of its coordinates' size L, not of the edge
-lengths, which moves each edge by that much. Over the three edges, that adds
-L (|e1| |e2| + |d| |e2| + |e1| |d|) to the scale.
+is fixed beforehand from float64's epsilon.
 
 The array plane clip must give the oracle's bytes wherever no vertex lies
 on the plane. On the plane the oracle duplicates the vertex, and where only
@@ -45,7 +40,7 @@ from handforge.errors import MeshInvariantError
 from handforge.mesh_io import TriangleMesh
 
 UNCAPPED = 10**9
-ROUNDING = 8 * np.finfo(np.float64).eps  # |det| bound, relative to its scale below
+ROUNDING = 8 * np.finfo(np.float64).eps  # |det| bound, relative to |e1| |d| |e2|
 WINDING_TOL = 1e-10
 
 coord = st.floats(-4.0, 4.0, allow_nan=False)
@@ -88,16 +83,13 @@ meshes = st.one_of(unions, clipped_hulls())
 
 def edge_parallel_within_rounding(mesh, i, j) -> bool:
     """Does some edge of face i or j lie parallel to the other face's plane
-    to within the rounding of the Moller-Trumbore determinant and of the
-    vertices it is made from?"""
+    to within the rounding of the Moller-Trumbore determinant?"""
     tri = mesh.corner_points
-    size = np.linalg.norm(tri[[i, j]], axis=2).max()
     for a, b in ((i, j), (j, i)):
         e1, e2 = tri[b, 1] - tri[b, 0], tri[b, 2] - tri[b, 0]
         for k in range(3):
             d = tri[a, (k + 1) % 3] - tri[a, k]
-            n1, nd, n2 = np.linalg.norm(e1), np.linalg.norm(d), np.linalg.norm(e2)
-            scale = n1 * nd * n2 + size * (n1 * n2 + nd * n2 + n1 * nd)
+            scale = np.linalg.norm(e1) * np.linalg.norm(d) * np.linalg.norm(e2)
             if abs(np.dot(e1, np.cross(d, e2))) <= ROUNDING * scale:
                 return True
     return False
