@@ -115,6 +115,25 @@ def test_clipped_hulls_match_oracle(mesh):
     assert_matches_oracle(mesh)
 
 
+@pytest.mark.xfail(reason="known rounding disagreement; exact predicates would decide it")
+def test_clipped_hull_cut_edge_in_a_face_plane():
+    """Two faces of a clipped hull that the property above drew. Vertices 2
+    and 3 were made by the cut and lie within 1.3e-15 of face 1's plane,
+    about epsilon times their coordinates' size. So edge 2-3 is coplanar
+    with face 1, and each scan decides the pair from noise: the oracle finds
+    a crossing at u = 0.009, the array scan none. The determinant exceeds the
+    ROUNDING allowance, which scales with the edge lengths only, by 11 %."""
+    vertices = np.array([
+        [3.312193164381845, -12.427398897367972, -6.515785123295558],
+        [10.144877355052806, -5.092334836785016, -2.6053359993922807],
+        [2.7698212206726733, -12.219221332980489, -6.404802074265357],
+        [3.08611961362867, -12.374275973697689, -6.487464376726764],
+        [0.9091786918159354, -1.2482425109044901, -0.5559840995605934],
+        [1.9112757789518928, -11.328617763422454, -4.0075017064837475],
+    ])
+    assert_matches_oracle(TriangleMesh(vertices, np.array([[2, 3, 5], [4, 1, 0]])))
+
+
 @settings(max_examples=30, deadline=None)
 @given(unions, st.integers(1, 200))
 def test_capped_result_is_sorted_prefix(mesh, cap):
