@@ -32,7 +32,6 @@ from .landmarks import (
     BoneFrame,
     BoneTopology,
     LandmarkSet,
-    align_midplane,
     bone_frame,
     default_topology,
     load_landmarks,
@@ -52,7 +51,6 @@ from .template_match import (
     SimilarityTransform,
     apply_transform,
     estimate_transform,
-    fit_template,
     place_ligament_holes,
 )
 from .tissue_gen import (

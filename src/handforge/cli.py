@@ -30,6 +30,7 @@ from .template_match import (
 from .landmarks import bone_frame
 
 MESH_FORMATS = ("stl_binary", "stl_ascii", "obj")
+PATH_KEYS = ("scan", "landmarks", "template_dir", "out_dir")
 
 
 def _load_config(path: str) -> dict:
@@ -42,7 +43,12 @@ def _load_config(path: str) -> dict:
         raise click.UsageError(f"malformed config {p}: {exc}")
     if not isinstance(cfg, dict):
         raise click.UsageError(f"config {p} must be a JSON object")
-    paths = [key for key in ("scan", "landmarks", "template_dir", "out_dir") if isinstance(cfg.get(key), str)]
+    paths = [key for key in PATH_KEYS if key in cfg]
+    for key in paths:
+        if not isinstance(cfg[key], str):
+            raise click.UsageError(f"config {p}: {key!r} must be a path string")
+    if not isinstance(cfg.get("tube", {}), dict):
+        raise click.UsageError(f"config {p}: 'tube' must be a JSON object")
     return {**cfg, **{key: str(p.parent / cfg[key]) for key in paths}}  # relative to the config file
 
 
@@ -55,6 +61,15 @@ def _config_path(cfg: dict, key: str) -> Path:
     return p
 
 
+def _output_dir(path) -> Path:
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise click.UsageError(f"cannot use {out} as the output directory: {exc.strerror}")
+    return out
+
+
 def _read_mesh(path: Path):
     try:
         return parse_mesh(path.read_bytes())
@@ -62,9 +77,9 @@ def _read_mesh(path: Path):
         raise click.ClickException(f"{path}: {exc}")
 
 
-def _read_landmarks(path: Path, source: str):
+def _read_landmarks(path: Path):
     try:
-        return load_landmarks(json.loads(path.read_text()), source=source)
+        return load_landmarks(json.loads(path.read_text()))
     except json.JSONDecodeError as exc:
         raise click.UsageError(f"malformed landmark file {path}: {exc}")
     except SchemaViolation as exc:
@@ -80,7 +95,7 @@ def _read_bone_mesh(directory: Path, bone_id: str, missing: str):
 
 
 def _load_template_set(template_dir: Path, topology) -> BoneTemplateSet:
-    lms = _read_landmarks(template_dir / "landmarks.json", "template")
+    lms = _read_landmarks(template_dir / "landmarks.json")
     meshes = {
         bone_id: _read_bone_mesh(template_dir, bone_id, f"template mesh for {bone_id} not found in {template_dir}")
         for bone_id in topology.bone_ids
@@ -119,7 +134,7 @@ def validate(config_path):
             f"warning: scan is not watertight ({report.boundary_edge_count} boundary edges); "
             "volume figures will be unreliable"
         )
-    _read_landmarks(_config_path(cfg, "landmarks"), "target")
+    _read_landmarks(_config_path(cfg, "landmarks"))
     click.echo("landmarks: 25 entries, schema OK")
     template_dir = _config_path(cfg, "template_dir")
     topology = _load_topology(template_dir)
@@ -141,12 +156,11 @@ def fit_bones(config_path, out_dir, fmt):
     """Fit every template bone to the target landmarks; write per-bone
     meshes, the transform log, and ligament hole metadata."""
     cfg = _load_config(config_path)
-    out = Path(out_dir or cfg.get("out_dir", "."))
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(out_dir or cfg.get("out_dir", "."))
     template_dir = _config_path(cfg, "template_dir")
     topology = _load_topology(template_dir)
     templates = _load_template_set(template_dir, topology)
-    target = _read_landmarks(_config_path(cfg, "landmarks"), "target")
+    target = _read_landmarks(_config_path(cfg, "landmarks"))
     ext = {"stl_binary": ".stl", "stl_ascii": ".stl", "obj": ".obj"}[fmt]
     try:
         transforms = estimate_all_transforms(templates, topology, target)
@@ -293,8 +307,7 @@ def simulate(config_path, design_ids, displacement_max, steps, out_dir):
         raise click.UsageError("steps must be >= 2")
     if not 0 <= dmax < math.inf:
         raise click.UsageError(f"displacement-max must be finite and >= 0, got {dmax}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(out_dir)
     try:
         trajectories = {
             name: kinematics.sweep_trajectory(cfg, dmax, nsteps) for name, cfg in presets.items()

@@ -43,10 +43,6 @@ class SchemaViolation(HandforgeError):
     """Landmark document does not match the 25-name schema."""
 
 
-class DegenerateGeometry(HandforgeError):
-    """Mesh too degenerate for plane alignment (covariance rank < 2)."""
-
-
 class ZeroReference(HandforgeError):
     """The two landmarks defining a bone frame coincide."""
 

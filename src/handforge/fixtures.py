@@ -29,7 +29,7 @@ BONE_END_INSET_RATIO = 0.18  # capsules stop short of the joints
 
 def template_landmarks() -> LandmarkSet:
     doc = json.loads(resources.files("handforge.data").joinpath("template_landmarks.json").read_text())
-    return load_landmarks(doc, source="template")
+    return load_landmarks(doc)
 
 
 def bone_radius(length: float) -> float:
@@ -67,9 +67,9 @@ def make_template_set(topology: BoneTopology | None = None) -> BoneTemplateSet:
     return BoneTemplateSet(meshes=meshes, landmarks=lms)
 
 
-def scaled_landmarks(lms: LandmarkSet, factor: float, source: str = "target") -> LandmarkSet:
+def scaled_landmarks(lms: LandmarkSet, factor: float) -> LandmarkSet:
     """Landmarks uniformly scaled about the global origin."""
-    return LandmarkSet({k: v * factor for k, v in lms.points.items()}, source=source).validate()
+    return LandmarkSet({k: v * factor for k, v in lms.points.items()}).validate()
 
 
 def make_demo_scan(bones: dict[str, TriangleMesh], inflate: float = 6.0,
@@ -104,7 +104,7 @@ def make_demo_curves(sigma_values=(0.3, 0.4, 0.5, 0.6, 0.8), reference_sigma: fl
     return curves
 
 
-def write_demo(out_dir: str | Path, scale: float = 1.0, mesh_format: str = "stl_binary") -> dict:
+def write_demo(out_dir: str | Path, scale: float = 1.0) -> dict:
     """Write the full demo fixture set and its pipeline config (paths relative
     to it); returns the config document with absolute paths."""
     out_dir = Path(out_dir)
@@ -114,9 +114,8 @@ def write_demo(out_dir: str | Path, scale: float = 1.0, mesh_format: str = "stl_
 
     topology = default_topology()
     templates = make_template_set(topology)
-    ext = {"stl_binary": ".stl", "stl_ascii": ".stl", "obj": ".obj"}[mesh_format]
     for bone_id, mesh in templates.meshes.items():
-        (template_dir / f"{bone_id}{ext}").write_bytes(write_mesh(mesh, mesh_format))
+        (template_dir / f"{bone_id}.stl").write_bytes(write_mesh(mesh, "stl_binary"))
     (template_dir / "landmarks.json").write_text(
         json.dumps(templates.landmarks.to_document(), indent=2) + "\n")
     (template_dir / "topology.json").write_text(

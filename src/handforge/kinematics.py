@@ -44,9 +44,6 @@ class TendonStage:
     def excursion(self, phi: float) -> float:
         return (self.b + self.h * phi) * phi
 
-    def excursion_rate(self, phi: float) -> float:
-        return self.b + 2.0 * self.h * phi
-
 
 @dataclass
 class JointState:

@@ -1,9 +1,8 @@
-"""The 25-landmark hand schema, mid-plane alignment, and per-bone 2D frames.
+"""The 25-landmark hand schema and per-bone 2D frames.
 
-Landmark coordinates live in the xy-plane of the symmetrized model: the
-scan is first rotated/translated so its least-squares symmetry plane is
-z = 0, after which z can be ignored and every bone is pinned by two named
-2D landmarks (proximal = frame origin, distal = frame reference).
+The scan and its landmarks arrive in one frame, with the landmarks in
+its xy-plane; no command aligns a scan. Every bone is pinned by two
+named 2D landmarks (proximal = frame origin, distal = frame reference).
 """
 
 from __future__ import annotations
@@ -14,8 +13,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import DegenerateGeometry, SchemaViolation, ZeroReference
-from .mesh_io import TriangleMesh
+from .errors import SchemaViolation, ZeroReference
 
 
 def _load_data(name: str) -> dict:
@@ -27,10 +25,9 @@ LANDMARK_NAMES: tuple[str, ...] = tuple(_load_data("landmark_schema.json")["name
 
 @dataclass
 class LandmarkSet:
-    """25 named 2D points (mm) in the symmetrized model's xy-plane."""
+    """25 named 2D points (mm) in the scan frame's xy-plane."""
 
     points: dict[str, np.ndarray]
-    source: str = "target"  # "template" or "target"
 
     def __post_init__(self):
         self.points = {k: np.asarray(v, dtype=np.float64).reshape(2) for k, v in self.points.items()}
@@ -104,21 +101,28 @@ def default_topology() -> BoneTopology:
 
 def load_topology(document) -> BoneTopology:
     """Load a user topology document (parsed JSON dict or a list of triples)."""
-    bones = document["bones"] if isinstance(document, dict) else document
+    bones = document.get("bones") if isinstance(document, dict) else document
+    if not isinstance(bones, list) or not all(
+        isinstance(b, list) and len(b) == 3 and all(isinstance(x, str) for x in b) for b in bones
+    ):
+        raise SchemaViolation("topology 'bones' must list [bone_id, origin, reference] name triples")
     return BoneTopology(bones).validate()
 
 
-def load_landmarks(document: dict, source: str = "target") -> LandmarkSet:
+def load_landmarks(document: dict) -> LandmarkSet:
     """Validate a key -> [x, y] mapping against the 25-name schema."""
     if not isinstance(document, dict):
         raise SchemaViolation("landmark document must be a mapping of name -> [x, y]")
     pts = {}
     for name, value in document.items():
-        arr = np.asarray(value, dtype=np.float64)
-        if arr.shape != (2,):
-            raise SchemaViolation(f"landmark {name!r} must be a 2-element [x, y] pair")
+        try:
+            arr = np.asarray(value, dtype=np.float64)
+            if arr.shape != (2,):
+                raise ValueError
+        except (TypeError, ValueError):
+            raise SchemaViolation(f"landmark {name!r} must be a 2-element [x, y] pair of numbers") from None
         pts[name] = arr
-    return LandmarkSet(pts, source=source).validate()
+    return LandmarkSet(pts).validate()
 
 
 def bone_frame(landmarks: LandmarkSet, topology: BoneTopology, bone_id: str) -> BoneFrame:
@@ -129,71 +133,3 @@ def bone_frame(landmarks: LandmarkSet, topology: BoneTopology, bone_id: str) -> 
     if np.linalg.norm(reference) < 1e-9:
         raise ZeroReference(f"{bone_id}: landmarks {org_name!r} and {ref_name!r} coincide")
     return BoneFrame(bone_id, origin, reference)
-
-
-def _minimal_rotation(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Rotation matrix turning unit vector src onto unit vector dst by the
-    smallest angle (Rodrigues)."""
-    c = float(np.dot(src, dst))
-    axis = np.cross(src, dst)
-    s = np.linalg.norm(axis)
-    if s < 1e-15:
-        if c > 0:
-            return np.eye(3)
-        # antiparallel: rotate pi about any axis perpendicular to src
-        perp = np.cross(src, [1.0, 0.0, 0.0])
-        if np.linalg.norm(perp) < 1e-9:
-            perp = np.cross(src, [0.0, 1.0, 0.0])
-        perp /= np.linalg.norm(perp)
-        return 2.0 * np.outer(perp, perp) - np.eye(3)
-    axis = axis / s
-    kmat = np.array([
-        [0.0, -axis[2], axis[1]],
-        [axis[2], 0.0, -axis[0]],
-        [-axis[1], axis[0], 0.0],
-    ])
-    return np.eye(3) + s * kmat + (1.0 - c) * (kmat @ kmat)
-
-
-@dataclass
-class RigidTransform:
-    """x -> R @ x + t, applied by align_midplane for traceability."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=np.float64) @ self.rotation.T + self.translation
-
-
-def align_midplane(mesh: TriangleMesh) -> tuple[TriangleMesh, RigidTransform]:
-    """Rotate/translate the mesh so its least-squares symmetry plane is z = 0.
-
-    The plane passes through the centroid and is spanned by the two
-    dominant principal directions of the vertex covariance; the smallest
-    principal direction becomes the z-axis via the minimal rotation. Ties
-    in the two smallest eigenvalues (e.g. a sphere) resolve to the current
-    z-axis, which makes the operation idempotent.
-    """
-    v = mesh.vertices
-    centroid = v.mean(axis=0)
-    cov = np.cov((v - centroid).T)
-    evals, evecs = np.linalg.eigh(cov)  # ascending
-    if evals[1] < 1e-12 * max(evals[2], 1.0):
-        raise DegenerateGeometry("vertex covariance has rank < 2")
-    normal = evecs[:, 0]
-    if (evals[1] - evals[0]) < 1e-9 * max(evals[2], 1.0):
-        # symmetry-degenerate (e.g. sphere, rotationally symmetric shapes):
-        # any normal in the small-eigenvalue span works; take the one
-        # closest to z so the operation stays idempotent
-        span = evecs[:, :2]
-        proj = span @ (span.T @ np.array([0.0, 0.0, 1.0]))
-        if np.linalg.norm(proj) > 1e-9:
-            normal = proj / np.linalg.norm(proj)
-    if normal[2] < 0:
-        normal = -normal
-    rot = _minimal_rotation(normal, np.array([0.0, 0.0, 1.0]))
-    # keep centroid x/y, put the plane at z = 0
-    translation = np.array([0.0, 0.0, -(rot @ centroid)[2]])
-    xform = RigidTransform(rot, translation)
-    return TriangleMesh(xform.apply(v), mesh.faces.copy(), mesh.name), xform

@@ -275,13 +275,14 @@ def _parse_obj(data: bytes) -> TriangleMesh:
 
 def detect_format(data: bytes) -> str:
     """Heuristic format detection: binary STL by facet-count consistency,
-    ASCII STL by the leading 'solid' token plus facet records, else OBJ."""
-    if data.lstrip().startswith(b"solid") and b"facet" in data:
-        return "stl_ascii"
+    tested first because a binary header may itself start with 'solid';
+    ASCII STL by the leading 'solid' token plus facet records; else OBJ."""
     if len(data) >= STL_HEADER_SIZE + 4:
         (count,) = struct.unpack_from("<I", data, STL_HEADER_SIZE)
         if STL_HEADER_SIZE + 4 + STL_FACET_SIZE * count == len(data):
             return "stl_binary"
+    if data.lstrip().startswith(b"solid") and b"facet" in data:
+        return "stl_ascii"
     return "obj"
 
 

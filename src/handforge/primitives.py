@@ -371,7 +371,7 @@ def ray_hits(mesh: TriangleMesh, origin, direction) -> np.ndarray:
     return np.sort(t[hit])
 
 
-def clip_by_plane(mesh: TriangleMesh, point, normal, cap: bool = True) -> TriangleMesh:
+def clip_by_plane(mesh: TriangleMesh, point, normal) -> TriangleMesh:
     """Keep the half-space dot(v - point, normal) <= 0, splitting crossing
     triangles and capping each cut loop with a centroid fan.
 
@@ -419,30 +419,29 @@ def clip_by_plane(mesh: TriangleMesh, point, normal, cap: bool = True) -> Triang
     farr[at] = np.where(k1[:, None], np.c_[a, p1, p2], np.c_[a, b, p1])
     farr[at[~k1] + 1] = np.c_[a, p1, p2][~k1]
 
-    if cap:
-        # chain the cut segments, CCW around the kept region seen from +n,
-        # into loops and cap each with a centroid fan facing +n
-        seg = p1 != p2
-        nxt = dict(zip(p1[seg].tolist(), p2[seg].tolist()))
-        visited = set()
-        loops = []
-        for start in nxt:
-            if start in visited:
-                continue
-            loop = [start]
-            visited.add(start)
-            cur = nxt.get(start)
-            while cur is not None and cur != start:
-                loop.append(cur)
-                visited.add(cur)
-                cur = nxt.get(cur)
-            if cur == start and len(loop) >= 3:  # open chains stay uncapped
-                loops.append(loop)
-        centroids = [varr[loop].mean(axis=0) for loop in loops]
-        fans = [np.c_[np.full(len(loop), len(varr) + m), np.roll(loop, -1), loop]
-                for m, loop in enumerate(loops)]
-        varr = np.concatenate([varr, np.reshape(centroids, (-1, 3))])
-        farr = np.concatenate([farr, *fans])
+    # chain the cut segments, CCW around the kept region seen from +n,
+    # into loops and cap each with a centroid fan facing +n
+    seg = p1 != p2
+    nxt = dict(zip(p1[seg].tolist(), p2[seg].tolist()))
+    visited = set()
+    loops = []
+    for start in nxt:
+        if start in visited:
+            continue
+        loop = [start]
+        visited.add(start)
+        cur = nxt.get(start)
+        while cur is not None and cur != start:
+            loop.append(cur)
+            visited.add(cur)
+            cur = nxt.get(cur)
+        if cur == start and len(loop) >= 3:  # open chains stay uncapped
+            loops.append(loop)
+    centroids = [varr[loop].mean(axis=0) for loop in loops]
+    fans = [np.c_[np.full(len(loop), len(varr) + m), np.roll(loop, -1), loop]
+            for m, loop in enumerate(loops)]
+    varr = np.concatenate([varr, np.reshape(centroids, (-1, 3))])
+    farr = np.concatenate([farr, *fans])
 
     # drop degenerate faces produced by vertices exactly on the plane
     p = varr[farr]

@@ -1,9 +1,9 @@
 """Per-bone similarity fitting: estimate rotation + uniform scale from two
 landmark frames, apply it to template bone meshes, and place ligament holes.
 
-The rotation acts about the z-axis (landmarks live in the symmetrized
-xy-plane); the scale is applied uniformly to all three axes so bone
-thickness follows bone length.
+The rotation acts about the z-axis (the landmarks lie in the xy-plane of
+the scan's own frame, which no command changes); the scale is applied
+uniformly to all three axes so bone thickness follows bone length.
 """
 
 from __future__ import annotations
@@ -16,6 +16,9 @@ import numpy as np
 from .errors import BoneTooShort, ZeroReference
 from .landmarks import BoneFrame, BoneTopology, LandmarkSet, bone_frame
 from .mesh_io import TriangleMesh
+
+HOLE_DIAMETER = 1.0  # mm
+HOLE_END_OFFSET = 2.0  # mm from each axial end of the bone to its hole center
 
 
 @dataclass
@@ -108,22 +111,12 @@ def apply_transform(mesh: TriangleMesh, t: SimilarityTransform) -> TriangleMesh:
     return TriangleMesh(t.apply_points(mesh.vertices), mesh.faces.copy(), mesh.name)
 
 
-def fit_template(
-    templates: BoneTemplateSet,
-    topology: BoneTopology,
-    target_landmarks: LandmarkSet,
-) -> dict[str, TriangleMesh]:
-    """Fit every template bone to the target landmarks, one transform per bone."""
-    transforms = estimate_all_transforms(templates, topology, target_landmarks)
-    return {b: apply_transform(templates.meshes[b], t) for b, t in transforms.items()}
-
-
 def estimate_all_transforms(
     templates: BoneTemplateSet,
     topology: BoneTopology,
     target_landmarks: LandmarkSet,
 ) -> dict[str, SimilarityTransform]:
-    """The per-bone transforms of fit_template, for audit logs."""
+    """One similarity transform per bone of the topology, template frame to target frame."""
     return {
         bone_id: estimate_transform(
             bone_frame(templates.landmarks, topology, bone_id),
@@ -133,25 +126,17 @@ def estimate_all_transforms(
     }
 
 
-def place_ligament_holes(
-    bone_mesh: TriangleMesh,
-    frame: BoneFrame,
-    diameter: float = 1.0,
-    depth: float | None = None,
-    end_offset: float = 2.0,
-) -> list[HolePose]:
+def place_ligament_holes(bone_mesh: TriangleMesh, frame: BoneFrame) -> list[HolePose]:
     """Two drill poses per bone, one near each longitudinal end.
 
     The long axis is the (transformed) reference direction; centers sit on
-    the axis line through the mesh centroid, inset by end_offset from the
-    axial extremes of the vertex projections. The drill axis runs
-    palm-width-wise (perpendicular to the long axis and to z). When depth
-    is not given, it defaults to the local bone width along the drill axis.
+    the axis line through the mesh centroid, inset by HOLE_END_OFFSET from
+    the axial extremes of the vertex projections. The drill axis runs
+    palm-width-wise (perpendicular to the long axis and to z), and the hole
+    depth is the bone's width along it.
     """
     if len(bone_mesh.faces) == 0:
         raise ValueError("empty bone mesh")
-    if diameter <= 0 or end_offset <= 0:
-        raise ValueError("hole diameter and end offset must be positive")
     d2 = frame.reference / np.linalg.norm(frame.reference)
     long_axis = np.array([d2[0], d2[1], 0.0])
     drill_axis = np.cross([0.0, 0.0, 1.0], long_axis)
@@ -160,23 +145,13 @@ def place_ligament_holes(
     centroid = bone_mesh.vertices.mean(axis=0)
     t = (bone_mesh.vertices - centroid) @ long_axis
     tmin, tmax = float(t.min()), float(t.max())
-    if tmax - tmin < 2.0 * end_offset:
+    if tmax - tmin < 2.0 * HOLE_END_OFFSET:
         raise BoneTooShort(
-            f"{frame.bone_id}: axial extent {tmax - tmin:.3f} mm < 2 x end offset {end_offset} mm"
+            f"{frame.bone_id}: axial extent {tmax - tmin:.3f} mm < 2 x end offset {HOLE_END_OFFSET} mm"
         )
-    if depth is None:
-        w = bone_mesh.vertices @ drill_axis
-        depth = float(w.max() - w.min())
+    w = bone_mesh.vertices @ drill_axis
+    depth = float(w.max() - w.min())
     return [
-        HolePose(centroid + (tmin + end_offset) * long_axis, drill_axis, diameter, depth),
-        HolePose(centroid + (tmax - end_offset) * long_axis, drill_axis, diameter, depth),
+        HolePose(centroid + (tmin + HOLE_END_OFFSET) * long_axis, drill_axis, HOLE_DIAMETER, depth),
+        HolePose(centroid + (tmax - HOLE_END_OFFSET) * long_axis, drill_axis, HOLE_DIAMETER, depth),
     ]
-
-
-def hole_cylinder(pose: HolePose, segments: int = 16) -> TriangleMesh:
-    """Subtraction cylinder realizing a hole pose, for slicer modifier meshes."""
-    from .primitives import cylinder
-
-    half = pose.axis * (pose.depth / 2.0)
-    return cylinder(pose.center - half, pose.center + half, pose.diameter / 2.0,
-                    segments=segments, name="ligament_hole")

@@ -245,21 +245,19 @@ def solid_gap_volume(skin_segment: TriangleMesh, bone: TriangleMesh) -> float:
     return signed_volume(skin_segment) - signed_volume(bone)
 
 
-def shell_report(shell: ShellModel, solid_mm3: float | None = None) -> dict:
-    report = {
+def shell_report(shell: ShellModel, solid_mm3: float) -> dict:
+    return {
         "outer_volume_mm3": signed_volume(shell.outer),
         "inner_volume_mm3": signed_volume(shell.inner),
         "support_volume_mm3": signed_volume(shell.supports),
         "material_volume_mm3": shell.material_volume_mm3,
         "material_volume_ml": shell.material_volume_mm3 / 1000.0,
+        "solid_volume_mm3": solid_mm3,
+        "solid_volume_ml": solid_mm3 / 1000.0,
     }
-    if solid_mm3 is not None:
-        report["solid_volume_mm3"] = solid_mm3
-        report["solid_volume_ml"] = solid_mm3 / 1000.0
-    return report
 
 
-def export_shell(shell: ShellModel, solid_mm3: float | None = None) -> dict[str, bytes]:
+def export_shell(shell: ShellModel, solid_mm3: float) -> dict[str, bytes]:
     """Printable outputs: one multi-component STL (inner kept inward-wound
     so slicers treat the cavity correctly) plus a JSON volume report."""
     parts = [shell.outer, shell.inner]

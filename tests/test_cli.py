@@ -315,3 +315,60 @@ class TestInfo:
         assert "wrist_center" in result.output
         assert "index_distal" in result.output
         assert "design_5" in result.output
+
+
+def _config_with(tmp_path, config, **changes) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, **changes}))
+    return str(path)
+
+
+def _template_with_topology(root, tmp_path, topology) -> str:
+    template = tmp_path / "template"
+    shutil.copytree(root / "template", template)
+    (template / "topology.json").write_text(json.dumps(topology))
+    return str(template)
+
+
+def _landmarks_with(root, tmp_path, name, value) -> str:
+    doc = json.loads((root / "target_landmarks.json").read_text())
+    path = tmp_path / "landmarks.json"
+    path.write_text(json.dumps({**doc, name: value}))
+    return str(path)
+
+
+def _a_file(tmp_path) -> str:
+    path = tmp_path / "taken"
+    path.write_text("")
+    return str(path)
+
+
+# name -> (exit code, a word of the error line, argv built from the demo workspace)
+MALFORMED = {
+    "tube is a number": (2, "tube", lambda root, cfg, tmp: [
+        "gen-tissue", "--config", _config_with(tmp, cfg, tube=5), "--bone-id", "index_distal"]),
+    "tube is a string": (2, "tube", lambda root, cfg, tmp: [
+        "gen-tissue", "--config", _config_with(tmp, cfg, tube="abc"), "--bone-id", "index_distal"]),
+    "scan path is a number": (2, "scan", lambda root, cfg, tmp: [
+        "validate", "--config", _config_with(tmp, cfg, scan=5)]),
+    "landmark is not numbers": (1, "index_tip", lambda root, cfg, tmp: [
+        "validate", "--config", _config_with(
+            tmp, cfg, landmarks=_landmarks_with(root, tmp, "index_tip", ["a", "b"]))]),
+    "topology without bones": (1, "bones", lambda root, cfg, tmp: [
+        "fit-bones", "--config", _config_with(
+            tmp, cfg, template_dir=_template_with_topology(root, tmp, {}))]),
+    "topology triple too short": (1, "bones", lambda root, cfg, tmp: [
+        "fit-bones", "--config", _config_with(tmp, cfg, template_dir=_template_with_topology(
+            root, tmp, {"bones": [["index_proximal", "index_mcp"]]}))]),
+    "fit-bones output is a file": (2, "taken", lambda root, cfg, tmp: [
+        "fit-bones", "--config", str(root / "config.json"), "--out", _a_file(tmp)]),
+    "simulate output is a file": (2, "taken", lambda root, cfg, tmp: [
+        "simulate", "--steps", "2", "--out", _a_file(tmp)]),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_is_refused_in_one_line(demo, tmp_path, case):
+    root, config = demo
+    code, word, argv = MALFORMED[case]
+    assert_refused(run(*argv(root, config, tmp_path)), code, word)

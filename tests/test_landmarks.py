@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from handforge import fixtures, landmarks, primitives
-from handforge.errors import DegenerateGeometry, SchemaViolation, ZeroReference
+from handforge import fixtures, landmarks
+from handforge.errors import SchemaViolation, ZeroReference
 from handforge.landmarks import (
     LANDMARK_NAMES,
-    align_midplane,
     bone_frame,
     default_topology,
     load_landmarks,
 )
-from handforge.mesh_io import TriangleMesh
 
 
 @pytest.fixture(scope="module")
@@ -81,63 +79,3 @@ class TestBoneFrame:
         moved = bone_frame(load_landmarks(doc), topo, "ring_distal")
         assert np.array_equal(base.origin, moved.origin)
         assert np.array_equal(base.reference, moved.reference)
-
-
-def max_pairwise_distance_change(a, b, n=50, seed=3):
-    idx = np.random.default_rng(seed).choice(len(a.vertices), size=(n, 2))
-    da = np.linalg.norm(a.vertices[idx[:, 0]] - a.vertices[idx[:, 1]], axis=1)
-    db = np.linalg.norm(b.vertices[idx[:, 0]] - b.vertices[idx[:, 1]], axis=1)
-    return np.abs(da - db).max()
-
-
-class TestAlignMidplane:
-    def test_already_symmetric_is_identity(self):
-        mesh = primitives.capsule((0, 0, 0), (30, 40, 0), 5.0)
-        aligned, xform = align_midplane(mesh)
-        assert np.allclose(xform.rotation, np.eye(3), atol=1e-6)
-        assert np.allclose(xform.translation, 0.0, atol=1e-6)
-        assert np.allclose(aligned.vertices, mesh.vertices, atol=1e-6)
-
-    def test_plate_in_x_plane(self):
-        rng = np.random.default_rng(0)
-        yz = rng.uniform(-20, 20, size=(40, 2))
-        verts = np.column_stack([np.full(40, 5.0), yz])
-        faces = [[i, i + 1, i + 2] for i in range(38)]
-        mesh = TriangleMesh(verts, faces)
-        aligned, xform = align_midplane(mesh)
-        assert np.abs(aligned.vertices[:, 2]).max() < 1e-9
-        image = xform.rotation @ np.array([1.0, 0.0, 0.0])
-        assert np.allclose(np.abs(image), [0, 0, 1], atol=1e-9)
-
-    def test_sphere_centroid_to_plane(self):
-        mesh = primitives.icosphere(5.0, 2, center=(3.0, -2.0, 7.0))
-        aligned, _ = align_midplane(mesh)
-        assert abs(aligned.vertices[:, 2].mean()) < 1e-9
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(1)
-        mesh = primitives.capsule((0, 0, 0), (20, 5, 9), 4.0)
-        mesh = TriangleMesh(mesh.vertices @ _random_rotation(rng).T + [4, 5, 6], mesh.faces)
-        once, _ = align_midplane(mesh)
-        twice, _ = align_midplane(once)
-        assert np.allclose(once.vertices, twice.vertices, atol=1e-6)
-
-    def test_rigid(self):
-        rng = np.random.default_rng(2)
-        mesh = primitives.capsule((0, 0, 0), (10, 20, 5), 3.0)
-        mesh = TriangleMesh(mesh.vertices @ _random_rotation(rng).T, mesh.faces)
-        aligned, _ = align_midplane(mesh)
-        assert max_pairwise_distance_change(mesh, aligned) < 1e-9
-
-    def test_collinear_degenerate(self):
-        verts = np.outer(np.arange(6, dtype=float), [1.0, 2.0, 3.0])
-        mesh = TriangleMesh(verts, [[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 5]])
-        with pytest.raises(DegenerateGeometry):
-            align_midplane(mesh)
-
-
-def _random_rotation(rng):
-    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q

@@ -94,6 +94,13 @@ class TestWrite:
         back = mio.parse_mesh(mio.write_mesh(unit_cube, "stl_binary"), "stl_binary")
         assert np.array_equal(sorted_geometry(back), sorted_geometry(unit_cube))
 
+    @pytest.mark.parametrize("fmt", ["stl_binary", "stl_ascii"])
+    def test_cube_named_like_ascii_roundtrip_auto(self, unit_cube, fmt):
+        # the binary header holds the name, so it may start with "solid" and say "facet"
+        named = TriangleMesh(unit_cube.vertices, unit_cube.faces, "solid exported facets")
+        back = mio.parse_mesh(mio.write_mesh(named, fmt))
+        assert np.array_equal(sorted_geometry(back), sorted_geometry(unit_cube))
+
     def test_cube_roundtrip_obj(self, unit_cube):
         back = mio.parse_mesh(mio.write_mesh(unit_cube, "obj"), "obj")
         assert np.array_equal(back.faces, unit_cube.faces)

@@ -280,10 +280,10 @@ def test_gap_of_points_on_the_surface_is_zero():
     assert all(primitives.surface_gap(cube, p) == 0.0 for p in on_faces)
 
 
-def clip_outcome(clip, mesh, point, normal, cap):
+def clip_outcome(clip, mesh, point, normal):
     """Output bytes of one clip, or the message of its MeshInvariantError."""
     try:
-        out = clip(mesh, point, normal, cap)
+        out = clip(mesh, point, normal)
     except MeshInvariantError as err:
         return str(err)
     if not len(out.faces):
@@ -293,14 +293,13 @@ def clip_outcome(clip, mesh, point, normal, cap):
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(hulls(), unions, clipped_hulls(), open_patches()),
-       st.tuples(*[st.floats(0.0, 1.0)] * 3), points3.filter(lambda n: np.linalg.norm(n) > 0.1),
-       st.booleans())
-def test_clip_by_plane_matches_oracle(mesh, where, normal, cap):
+       st.tuples(*[st.floats(0.0, 1.0)] * 3), points3.filter(lambda n: np.linalg.norm(n) > 0.1))
+def test_clip_by_plane_matches_oracle(mesh, where, normal):
     lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
     point = lo + np.array(where) * (hi - lo)
     assume(np.all(np.abs((mesh.vertices - point) @ (np.array(normal) / np.linalg.norm(normal))) > 1e-12))
-    assert (clip_outcome(primitives.clip_by_plane, mesh, point, normal, cap)
-            == clip_outcome(oracles.clip_by_plane, mesh, point, normal, cap))
+    assert (clip_outcome(primitives.clip_by_plane, mesh, point, normal)
+            == clip_outcome(oracles.clip_by_plane, mesh, point, normal))
 
 
 # Crossings: the ray of `winding_numbers` through a vertex, along an edge or

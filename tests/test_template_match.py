@@ -9,9 +9,8 @@ from handforge.landmarks import BoneFrame, bone_frame, default_topology, load_la
 from handforge.template_match import (
     SimilarityTransform,
     apply_transform,
+    estimate_all_transforms,
     estimate_transform,
-    fit_template,
-    hole_cylinder,
     place_ligament_holes,
 )
 
@@ -106,16 +105,22 @@ def topology():
     return default_topology()
 
 
+def fitted_bones(templates, topology, target):
+    """Every template bone fitted as fit-bones fits it: one transform per bone."""
+    transforms = estimate_all_transforms(templates, topology, target)
+    return {b: apply_transform(templates.meshes[b], t) for b, t in transforms.items()}
+
+
 class TestFitTemplate:
     def test_identity_fixture(self, template_set, topology):
-        fitted = fit_template(template_set, topology, template_set.landmarks)
+        fitted = fitted_bones(template_set, topology, template_set.landmarks)
         assert set(fitted) == set(topology.bone_ids)
         for bone_id, mesh in fitted.items():
             assert np.array_equal(mesh.vertices, template_set.meshes[bone_id].vertices)
 
     def test_uniform_scale_fixture(self, template_set, topology):
         target = fixtures.scaled_landmarks(template_set.landmarks, 1.2)
-        fitted = fit_template(template_set, topology, target)
+        fitted = fitted_bones(template_set, topology, target)
         for bone_id, mesh in fitted.items():
             assert np.allclose(mesh.vertices, 1.2 * template_set.meshes[bone_id].vertices,
                                atol=1e-9)
@@ -127,7 +132,7 @@ class TestFitTemplate:
         rot = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
         for name in ("index_pip", "index_dip", "index_tip"):
             doc[name] = (rot @ (np.asarray(doc[name]) - pivot) + pivot).tolist()
-        fitted = fit_template(template_set, topology, load_landmarks(doc))
+        fitted = fitted_bones(template_set, topology, load_landmarks(doc))
         moved = {"index_proximal", "index_intermediate", "index_distal"}
         for bone_id, mesh in fitted.items():
             same = np.array_equal(mesh.vertices, template_set.meshes[bone_id].vertices)
@@ -138,21 +143,23 @@ class TestLigamentHoles:
     def test_cylinder_bone_centers(self):
         bone = primitives.cylinder((0, 5, 0), (0, 35, 0), 4.0)
         f = frame((0, 5), (0, 30), "cyl")
-        holes = place_ligament_holes(bone, f, diameter=1.0, end_offset=3.0)
+        holes = place_ligament_holes(bone, f)
         assert len(holes) == 2
         ys = sorted(h.center[1] for h in holes)
-        assert ys[0] == pytest.approx(5.0 + 3.0, abs=1e-9)
-        assert ys[1] == pytest.approx(35.0 - 3.0, abs=1e-9)
+        assert ys[0] == pytest.approx(5.0 + 2.0, abs=1e-9)
+        assert ys[1] == pytest.approx(35.0 - 2.0, abs=1e-9)
         for h in holes:
             assert abs(h.center[0]) < 1e-9
+            assert h.diameter == 1.0
+            assert h.depth == pytest.approx(8.0, abs=1e-9)  # the bone's width along the drill
             # drill axis runs palm-width-wise: perpendicular to bone and z
             assert abs(np.dot(h.axis, [0, 1, 0])) < 1e-12
             assert abs(h.axis[2]) < 1e-12
 
     def test_too_short(self):
-        bone = primitives.cylinder((0, 0, 0), (0, 30, 0), 4.0)
+        bone = primitives.cylinder((0, 0, 0), (0, 3.5, 0), 4.0)
         with pytest.raises(BoneTooShort):
-            place_ligament_holes(bone, frame((0, 0), (0, 30)), end_offset=20.0)
+            place_ligament_holes(bone, frame((0, 0), (0, 3.5)))
 
     def test_all_template_bones(self, template_set, topology):
         for bone_id in topology.bone_ids:
@@ -163,11 +170,3 @@ class TestLigamentHoles:
             hi = template_set.meshes[bone_id].vertices.max(axis=0) + 1e-9
             for h in holes:
                 assert np.all(h.center >= lo) and np.all(h.center <= hi)
-
-    def test_hole_cylinder_mesh(self):
-        bone = primitives.cylinder((0, 0, 0), (0, 30, 0), 4.0)
-        holes = place_ligament_holes(bone, frame((0, 0), (0, 30)))
-        cyl = hole_cylinder(holes[0])
-        rep = mio.analyze_mesh(cyl)
-        assert rep.watertight
-        assert rep.signed_volume_mm3 > 0

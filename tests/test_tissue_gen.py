@@ -269,7 +269,7 @@ class TestReportAndExport:
 
     def test_export_components_no_supports(self, ico10_4, bone):
         shell = tg.build_concentric_tube(ico10_4, bone, TubeSpec(sigma=0.4, support_count=0))
-        files = tg.export_shell(shell)
+        files = tg.export_shell(shell, tg.solid_gap_volume(ico10_4, bone))
         mesh = mio.parse_mesh(files["shell.stl"], "stl_binary")
         comps = mio.connected_components(mesh)
         assert len(comps) == 2
