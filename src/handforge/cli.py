@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import click
@@ -58,6 +59,8 @@ def _config_path(cfg: dict, key: str) -> Path:
     p = Path(cfg[key])
     if not p.exists():
         raise click.UsageError(f"{key} path not found: {p}")
+    if p.is_dir() != (key == "template_dir"):
+        raise click.UsageError(f"{key} must name a {'directory' if key == 'template_dir' else 'file'}: {p}")
     return p
 
 
@@ -86,21 +89,21 @@ def _read_landmarks(path: Path):
         raise click.ClickException(f"{path}: {exc}")
 
 
-def _read_bone_mesh(directory: Path, bone_id: str, missing: str):
-    """The bone's mesh in directory, read from <bone_id>.stl, else <bone_id>.obj."""
-    found = next((p for p in (directory / f"{bone_id}{ext}" for ext in (".stl", ".obj")) if p.is_file()), None)
-    if found is None:
-        raise click.UsageError(missing)
-    return _read_mesh(found)
+def _bone_mesh_paths(directory: Path, bone_ids, missing: str) -> dict:
+    """Each bone's mesh file in directory, <bone_id>.stl else <bone_id>.obj.
+    Raises a usage error, `missing` then every bone that has neither."""
+    paths = {bone_id: next((p for p in (directory / f"{bone_id}{ext}" for ext in (".stl", ".obj"))
+                            if p.is_file()), None) for bone_id in bone_ids}
+    absent = [bone_id for bone_id, path in paths.items() if path is None]
+    if absent:
+        raise click.UsageError(f"{missing} {', '.join(absent)}")
+    return paths
 
 
 def _load_template_set(template_dir: Path, topology) -> BoneTemplateSet:
     lms = _read_landmarks(template_dir / "landmarks.json")
-    meshes = {
-        bone_id: _read_bone_mesh(template_dir, bone_id, f"template mesh for {bone_id} not found in {template_dir}")
-        for bone_id in topology.bone_ids
-    }
-    return BoneTemplateSet(meshes=meshes, landmarks=lms)
+    paths = _bone_mesh_paths(template_dir, topology.bone_ids, f"no template mesh in {template_dir} for")
+    return BoneTemplateSet(meshes={bone_id: _read_mesh(path) for bone_id, path in paths.items()}, landmarks=lms)
 
 
 def _load_topology(template_dir: Path):
@@ -186,11 +189,13 @@ def fit_bones(config_path, out_dir, fmt):
 
 @main.command("gen-tissue")
 @click.option("--config", "config_path", required=True, type=str)
-@click.option("--bone-id", required=True, type=str)
+@click.option("--bone-id", "bone_ids", required=True, multiple=True, type=str,
+              help="A fitted bone; repeat for several.")
 @click.option("--sigma", type=float, default=None, help="Tube wall offset, mm.")
 @click.option("--out", "out_dir", type=str, default=None)
-def gen_tissue(config_path, bone_id, sigma, out_dir):
-    """Build the hollow tissue shell around one fitted bone."""
+def gen_tissue(config_path, bone_ids, sigma, out_dir):
+    """Build the hollow tissue shell around each named fitted bone, in order.
+    A refused bone does not stop the others; the exit status is 1 if any was."""
     cfg = _load_config(config_path)
     tube_cfg = dict(cfg.get("tube", {}))
     if sigma is not None:
@@ -202,22 +207,38 @@ def gen_tissue(config_path, bone_id, sigma, out_dir):
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"invalid tube spec: {exc}")
     out = Path(out_dir or cfg.get("out_dir", "."))
-    bone = _read_bone_mesh(out, bone_id, f"fitted bone not found: {out / bone_id}.stl or .obj (run fit-bones first)")
+    paths = _bone_mesh_paths(out, bone_ids, f"no fitted mesh in {out} (run fit-bones first) for")
     scan = _read_mesh(_config_path(cfg, "scan"))
-    try:
-        segment = tissue_gen.extract_segment(scan, bone)
-        shell = tissue_gen.build_concentric_tube(segment, bone, spec)
-        solid = tissue_gen.solid_gap_volume(segment, bone)
-        files = tissue_gen.export_shell(shell, solid)
-    except HandforgeError as exc:
-        raise click.ClickException(f"{bone_id}: {exc}")
-    (out / f"{bone_id}_shell.stl").write_bytes(files["shell.stl"])
-    (out / f"{bone_id}_shell_report.json").write_bytes(files["report.json"])
-    report = json.loads(files["report.json"])
-    click.echo(
-        f"{bone_id}: shell {report['material_volume_ml']:.3f} ml "
-        f"(solid would be {report['solid_volume_ml']:.3f} ml)"
-    )
+    refusal = None
+    for bone_id, path in paths.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                bone = parse_mesh(path.read_bytes())
+                segment = tissue_gen.extract_segment(scan, bone)
+                shell = tissue_gen.build_concentric_tube(segment, bone, spec)
+                solid = tissue_gen.solid_gap_volume(segment, bone)
+                files = tissue_gen.export_shell(shell, solid)
+            except HandforgeError as exc:
+                # the last refusal is raised after the loop and the earlier ones
+                # shown; each keeps its domain error as context, as if raised here
+                if refusal is not None:
+                    refusal.show()
+                refusal = click.ClickException(f"{bone_id}: {exc}")
+                refusal.__context__ = exc
+            else:
+                (out / f"{bone_id}_shell.stl").write_bytes(files["shell.stl"])
+                (out / f"{bone_id}_shell_report.json").write_bytes(files["report.json"])
+                report = json.loads(files["report.json"])
+                click.echo(
+                    f"{bone_id}: shell {report['material_volume_ml']:.3f} ml "
+                    f"(solid would be {report['solid_volume_ml']:.3f} ml)"
+                )
+        for w in caught:  # re-issued from where each was raised, naming the bone
+            w.message.args = (f"{bone_id}: {w.message}", *w.message.args[1:])
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    if refusal is not None:
+        raise refusal
 
 
 def _candidate(label: str, curve) -> deformation.ThicknessCandidate:
@@ -252,9 +273,12 @@ def select_thickness(curves_path, human_label, out_path):
         click.echo(f"sigma={s}: rms={distances[s]:.6g} N")
     click.echo(f"selected sigma: {sigma_star}")
     if out_path:
-        Path(out_path).write_text(json.dumps(
-            {"sigma_star": sigma_star, "distances": {str(k): v for k, v in distances.items()}},
-            indent=2) + "\n")
+        try:
+            Path(out_path).write_text(json.dumps(
+                {"sigma_star": sigma_star, "distances": {str(k): v for k, v in distances.items()}},
+                indent=2) + "\n")
+        except OSError as exc:
+            raise click.UsageError(f"cannot write the report to {out_path}: {exc.strerror}")
 
 
 def _config_designs(doc, defaults: dict) -> dict:

@@ -1,14 +1,18 @@
 import json
 import shutil
+import warnings
 from importlib import resources
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from handforge import deformation, fixtures, kinematics
 from handforge.cli import main
+from handforge.errors import GapTooSmall
+from handforge.tissue_gen import SelfIntersectionWarning
 
 
 @pytest.fixture(scope="module")
@@ -18,8 +22,30 @@ def demo(tmp_path_factory):
     return root, config
 
 
+@pytest.fixture(scope="module")
+def fitted(tmp_path_factory):
+    """A demo workspace with its bones fitted and no shell built:
+    (config path, fitted bone directory)."""
+    root = tmp_path_factory.mktemp("fitted")
+    fixtures.write_demo(root)
+    config = str(root / "config.json")
+    assert run("fit-bones", "--config", config).exit_code == 0
+    return config, root / "output"
+
+
 def run(*args):
     return CliRunner().invoke(main, list(args))
+
+
+def gen_tissue(fitted, tmp_path, bones, *extra):
+    """argv building `bones` in one call, into tmp_path/out, which holds a
+    copy of the fitted bones from the first call on; returns (argv, out)."""
+    config, bone_dir = fitted
+    out = tmp_path / "out"
+    if not out.exists():
+        shutil.copytree(bone_dir, out)
+    return ["gen-tissue", "--config", config, "--out", str(out), *extra,
+            *[arg for bone in bones for arg in ("--bone-id", bone)]], out
 
 
 def assert_refused(result, code, *names):
@@ -183,6 +209,63 @@ class TestGenTissue:
         assert result.exit_code == 2
         assert "fit-bones" in result.output
 
+    def test_several_bones_match_one_call_each(self, fitted, tmp_path):
+        bones = ["middle_metacarpal", "index_distal", "middle_proximal"]
+        argv, together = gen_tissue(fitted, tmp_path / "together", bones)
+        result = run(*argv)
+        assert result.exit_code == 0, result.output
+        for bone in bones:
+            argv, alone = gen_tissue(fitted, tmp_path / "alone", [bone])
+            assert run(*argv).exit_code == 0
+        files = {p.name: p.read_bytes() for p in together.iterdir()}
+        assert files == {p.name: p.read_bytes() for p in alone.iterdir()}
+        assert sum(name.endswith("_shell.stl") for name in files) == 3
+
+    def test_each_fold_warning_names_its_bone(self, fitted, tmp_path):
+        # both bones fold at "2 face pairs"; under the default filter an
+        # unnamed repeat of that text from one line would be hidden
+        argv, _ = gen_tissue(fitted, tmp_path, ["middle_metacarpal", "middle_proximal"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            assert run(*argv).exit_code == 0
+        assert [str(w.message) for w in caught] == [
+            f"{bone}: offset by -0.4 mm self-intersects at 2 face pairs"
+            for bone in ("middle_metacarpal", "middle_proximal")]
+        assert all(w.category is SelfIntersectionWarning and len(w.message.pairs) == 2 for w in caught)
+
+    def test_refused_bone_does_not_stop_later_bones(self, fitted, tmp_path):
+        argv, out = gen_tissue(fitted, tmp_path, ["index_distal", "little_metacarpal", "middle_distal"])
+        assert_refused(run(*argv), 1, "little_metacarpal", "skin-to-bone gap")
+        assert sorted(p.name for p in out.glob("*_shell.stl")) == [
+            "index_distal_shell.stl", "middle_distal_shell.stl"]
+
+    def test_every_refusal_shown_once(self, fitted, tmp_path):
+        argv, out = gen_tissue(fitted, tmp_path, ["index_distal", "middle_distal"], "--sigma", "20")
+        result = run(*argv)
+        assert result.exit_code == 1, result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert [line.split(":")[1].strip() for line in errors] == ["index_distal", "middle_distal"]
+        assert not list(out.glob("*_shell*"))
+
+    @pytest.mark.parametrize("bones", [
+        ["no_such_bone", "index_distal"], ["index_distal", "middle_distal", "no_such_bone"]])
+    def test_unknown_bone_anywhere_builds_nothing(self, fitted, tmp_path, bones):
+        argv, out = gen_tissue(fitted, tmp_path, bones)
+        assert_refused(run(*argv), 2, "no_such_bone", "fit-bones")
+        assert not list(out.glob("*_shell*"))
+
+    @pytest.mark.parametrize("bones", [["little_metacarpal"], ["little_metacarpal", "index_distal"]])
+    def test_refusal_raises_with_its_domain_error(self, fitted, tmp_path, bones):
+        # the in-process contract: exit code 1, and the HandforgeError as context
+        argv, out = gen_tissue(fitted, tmp_path, bones)
+        with pytest.raises(click.ClickException) as info, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            main.main(argv, prog_name="handforge", standalone_mode=False)
+        assert info.value.exit_code == 1
+        assert isinstance(info.value.__context__, GapTooSmall)
+        assert info.value.format_message().startswith("little_metacarpal: ")
+        assert (out / "index_distal_shell.stl").is_file() == ("index_distal" in bones)
+
 
 class TestSelectThickness:
     def test_demo_curves(self, demo, tmp_path):
@@ -343,6 +426,12 @@ def _a_file(tmp_path) -> str:
     return str(path)
 
 
+def _fitted_bones(root, tmp_path) -> str:
+    out = tmp_path / "fitted"
+    assert run("fit-bones", "--config", str(root / "config.json"), "--out", str(out)).exit_code == 0
+    return str(out)
+
+
 # name -> (exit code, a word of the error line, argv built from the demo workspace)
 MALFORMED = {
     "tube is a number": (2, "tube", lambda root, cfg, tmp: [
@@ -364,6 +453,17 @@ MALFORMED = {
         "fit-bones", "--config", str(root / "config.json"), "--out", _a_file(tmp)]),
     "simulate output is a file": (2, "taken", lambda root, cfg, tmp: [
         "simulate", "--steps", "2", "--out", _a_file(tmp)]),
+    "scan is a directory": (2, "scan", lambda root, cfg, tmp: [
+        "validate", "--config", _config_with(tmp, cfg, scan=str(tmp))]),
+    "gen-tissue scan is a directory": (2, "scan", lambda root, cfg, tmp: [
+        "gen-tissue", "--config", _config_with(tmp, cfg, scan=str(tmp)), "--bone-id", "index_distal",
+        "--out", _fitted_bones(root, tmp)]),
+    "landmarks is a directory": (2, "landmarks", lambda root, cfg, tmp: [
+        "fit-bones", "--config", _config_with(tmp, cfg, landmarks=str(tmp)), "--out", str(tmp / "out")]),
+    "template_dir is a file": (2, "template_dir", lambda root, cfg, tmp: [
+        "fit-bones", "--config", _config_with(tmp, cfg, template_dir=_a_file(tmp)), "--out", str(tmp / "out")]),
+    "select-thickness output is a directory": (2, "cannot write", lambda root, cfg, tmp: [
+        "select-thickness", "--curves", str(root / "curves.csv"), "--out", str(tmp)]),
 }
 
 
