@@ -12,7 +12,6 @@ from .deformation import (
     ThicknessCandidate,
     curve_distance,
     load_curves,
-    resample_curve,
     select_thickness,
 )
 from .kinematics import (

@@ -1,26 +1,26 @@
 """Command-line pipeline: validate inputs, fit template bones, generate
 tissue shells, select the wall thickness, and simulate fingertip
-trajectories. Every stage reads and writes plain files; exit status is
-0 on success, 1 on domain failure, 2 on usage or config errors.
+trajectories. Every stage reads and writes plain files. Exit status:
+0 on success; 2 when the command line or the config is wrong, or names a
+path that cannot be read or written; 1 when an input file's content (as
+`<path>: <reason>`), the geometry or the solve is refused; 3 on a crash,
+any other exception, with its traceback.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
+import traceback
 import warnings
 from pathlib import Path
 
 import click
 
 from . import deformation, kinematics, tissue_gen
-from .errors import HandforgeError, SchemaViolation
-from .landmarks import (
-    LANDMARK_NAMES,
-    default_topology,
-    load_landmarks,
-    load_topology,
-)
+from .errors import HandforgeError
+from .landmarks import LANDMARK_NAMES, bone_frame, default_topology, load_landmarks, load_topology
 from .mesh_io import analyze_mesh, parse_mesh, write_mesh
 from .template_match import (
     BoneTemplateSet,
@@ -28,7 +28,6 @@ from .template_match import (
     estimate_all_transforms,
     place_ligament_holes,
 )
-from .landmarks import bone_frame
 
 MESH_FORMATS = ("stl_binary", "stl_ascii", "obj")
 PATH_KEYS = ("scan", "landmarks", "template_dir", "out_dir")
@@ -39,8 +38,8 @@ def _load_config(path: str) -> dict:
     if not p.is_file():
         raise click.UsageError(f"config file not found: {p}")
     try:
-        cfg = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        cfg = json.loads(p.read_bytes())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"malformed config {p}: {exc}")
     if not isinstance(cfg, dict):
         raise click.UsageError(f"config {p} must be a JSON object")
@@ -73,20 +72,32 @@ def _output_dir(path) -> Path:
     return out
 
 
-def _read_mesh(path: Path):
+def _read(path: Path, parse):
+    """`parse` of the bytes of an input file. Exit 2 if it cannot be read;
+    exit 1, naming the file, if its content is refused."""
     try:
-        return parse_mesh(path.read_bytes())
-    except HandforgeError as exc:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise click.UsageError(f"cannot read {path}: {exc.strerror}")
+    try:
+        return parse(data)
+    except (HandforgeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise click.ClickException(f"{path}: {exc}")
 
 
-def _read_landmarks(path: Path):
+def _landmarks(data: bytes):
+    return load_landmarks(json.loads(data))
+
+
+def _tube_spec(cfg: dict, sigma=None) -> tissue_gen.TubeSpec:
+    """The config's tube spec, its sigma replaced by `sigma` if given."""
+    tube = {**cfg.get("tube", {}), **({} if sigma is None else {"sigma": sigma})}
+    if "sigma" not in tube:
+        raise click.UsageError("no sigma given (flag --sigma or config tube.sigma)")
     try:
-        return load_landmarks(json.loads(path.read_text()))
-    except json.JSONDecodeError as exc:
-        raise click.UsageError(f"malformed landmark file {path}: {exc}")
-    except SchemaViolation as exc:
-        raise click.ClickException(f"{path}: {exc}")
+        return tissue_gen.TubeSpec(**tube)
+    except (TypeError, ValueError) as exc:
+        raise click.UsageError(f"invalid tube spec: {exc}")
 
 
 def _bone_mesh_paths(directory: Path, bone_ids, missing: str) -> dict:
@@ -101,22 +112,41 @@ def _bone_mesh_paths(directory: Path, bone_ids, missing: str) -> dict:
 
 
 def _load_template_set(template_dir: Path, topology) -> BoneTemplateSet:
-    lms = _read_landmarks(template_dir / "landmarks.json")
+    lms = _read(template_dir / "landmarks.json", _landmarks)
     paths = _bone_mesh_paths(template_dir, topology.bone_ids, f"no template mesh in {template_dir} for")
-    return BoneTemplateSet(meshes={bone_id: _read_mesh(path) for bone_id, path in paths.items()}, landmarks=lms)
+    return BoneTemplateSet(meshes={bone_id: _read(path, parse_mesh) for bone_id, path in paths.items()},
+                           landmarks=lms)
 
 
 def _load_topology(template_dir: Path):
     topo_file = template_dir / "topology.json"
     if topo_file.is_file():
-        try:
-            return load_topology(json.loads(topo_file.read_text()))
-        except (json.JSONDecodeError, SchemaViolation) as exc:
-            raise click.ClickException(f"{topo_file}: {exc}")
+        return _read(topo_file, lambda data: load_topology(json.loads(data)))
     return default_topology()
 
 
-@click.group()
+class _Main(click.Group):
+    """The boundary of every command: a `HandforgeError` that ends one exits 1
+    in one line, kept as its `ClickException`'s context. Any other exception
+    is a crash: its traceback and exit 3 when standalone, else raised as is."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except HandforgeError as exc:
+            raise click.ClickException(str(exc))
+
+    def main(self, *args, standalone_mode=True, **kwargs):
+        try:
+            return super().main(*args, standalone_mode=standalone_mode, **kwargs)
+        except Exception:
+            if not standalone_mode:
+                raise
+            traceback.print_exc()
+            sys.exit(3)
+
+
+@click.group(cls=_Main)
 def main():
     """Multi-layer printable hand models from a scan and 25 landmarks."""
 
@@ -126,7 +156,7 @@ def main():
 def validate(config_path):
     """Check all configured inputs; warnings do not fail the run."""
     cfg = _load_config(config_path)
-    scan = _read_mesh(_config_path(cfg, "scan"))
+    scan = _read(_config_path(cfg, "scan"), parse_mesh)
     report = analyze_mesh(scan)
     click.echo(
         f"scan: {len(scan.vertices)} vertices, {len(scan.faces)} faces, "
@@ -137,17 +167,14 @@ def validate(config_path):
             f"warning: scan is not watertight ({report.boundary_edge_count} boundary edges); "
             "volume figures will be unreliable"
         )
-    _read_landmarks(_config_path(cfg, "landmarks"))
+    _read(_config_path(cfg, "landmarks"), _landmarks)
     click.echo("landmarks: 25 entries, schema OK")
     template_dir = _config_path(cfg, "template_dir")
     topology = _load_topology(template_dir)
     templates = _load_template_set(template_dir, topology)
     click.echo(f"template: {len(templates.meshes)} bone meshes, landmarks OK")
     if "tube" in cfg:
-        try:
-            tissue_gen.TubeSpec(**cfg["tube"])
-        except (TypeError, ValueError) as exc:
-            raise click.ClickException(f"invalid tube spec: {exc}")
+        _tube_spec(cfg)
     click.echo("validation OK")
 
 
@@ -163,25 +190,22 @@ def fit_bones(config_path, out_dir, fmt):
     template_dir = _config_path(cfg, "template_dir")
     topology = _load_topology(template_dir)
     templates = _load_template_set(template_dir, topology)
-    target = _read_landmarks(_config_path(cfg, "landmarks"))
+    target = _read(_config_path(cfg, "landmarks"), _landmarks)
     ext = {"stl_binary": ".stl", "stl_ascii": ".stl", "obj": ".obj"}[fmt]
-    try:
-        transforms = estimate_all_transforms(templates, topology, target)
-        log = []
-        holes = {}
-        for bone_id, t in transforms.items():
-            fitted = apply_transform(templates.meshes[bone_id], t)
-            (out / f"{bone_id}{ext}").write_bytes(write_mesh(fitted, fmt))
-            log.append({
-                "bone_id": bone_id,
-                "theta": t.theta,
-                "lambda": t.lam,
-                "translation": [float(x) for x in t.translation],
-            })
-            frame = bone_frame(target, topology, bone_id)
-            holes[bone_id] = [p.to_document() for p in place_ligament_holes(fitted, frame)]
-    except HandforgeError as exc:
-        raise click.ClickException(str(exc))
+    transforms = estimate_all_transforms(templates, topology, target)
+    log = []
+    holes = {}
+    for bone_id, t in transforms.items():
+        fitted = apply_transform(templates.meshes[bone_id], t)
+        (out / f"{bone_id}{ext}").write_bytes(write_mesh(fitted, fmt))
+        log.append({
+            "bone_id": bone_id,
+            "theta": t.theta,
+            "lambda": t.lam,
+            "translation": [float(x) for x in t.translation],
+        })
+        frame = bone_frame(target, topology, bone_id)
+        holes[bone_id] = [p.to_document() for p in place_ligament_holes(fitted, frame)]
     (out / "transforms.json").write_text(json.dumps(log, indent=2) + "\n")
     (out / "holes.json").write_text(json.dumps(holes, indent=2) + "\n")
     click.echo(f"fitted {len(log)} bones -> {out}")
@@ -197,18 +221,10 @@ def gen_tissue(config_path, bone_ids, sigma, out_dir):
     """Build the hollow tissue shell around each named fitted bone, in order.
     A refused bone does not stop the others; the exit status is 1 if any was."""
     cfg = _load_config(config_path)
-    tube_cfg = dict(cfg.get("tube", {}))
-    if sigma is not None:
-        tube_cfg["sigma"] = sigma
-    if "sigma" not in tube_cfg:
-        raise click.UsageError("no sigma given (flag --sigma or config tube.sigma)")
-    try:
-        spec = tissue_gen.TubeSpec(**tube_cfg)
-    except (TypeError, ValueError) as exc:
-        raise click.UsageError(f"invalid tube spec: {exc}")
+    spec = _tube_spec(cfg, sigma)
     out = Path(out_dir or cfg.get("out_dir", "."))
     paths = _bone_mesh_paths(out, bone_ids, f"no fitted mesh in {out} (run fit-bones first) for")
-    scan = _read_mesh(_config_path(cfg, "scan"))
+    scan = _read(_config_path(cfg, "scan"), parse_mesh)
     refusal = None
     for bone_id, path in paths.items():
         with warnings.catch_warnings(record=True) as caught:
@@ -255,20 +271,14 @@ def _candidate(label: str, curve) -> deformation.ThicknessCandidate:
 def select_thickness(curves_path, human_label, out_path):
     """Pick the tube wall whose deformation curve is closest to the reference."""
     p = Path(curves_path)
-    if not p.is_file():
-        raise click.UsageError(f"curves file not found: {p}")
-    try:
-        curves = deformation.load_curves(p.read_text())
-        by_label = {c.label: c for c in curves}
-        if human_label not in by_label:
-            raise click.UsageError(f"no curve labeled {human_label!r} in {p}")
-        candidates = [_candidate(label, curve) for label, curve in by_label.items()
-                      if label.startswith("sigma=")]
-        if not candidates:
-            raise click.ClickException("no 'sigma=<value>' candidate curves found")
-        sigma_star, distances = deformation.select_thickness(candidates, by_label[human_label])
-    except HandforgeError as exc:
-        raise click.ClickException(str(exc))
+    by_label = {c.label: c for c in _read(p, lambda data: deformation.load_curves(data.decode("utf-8-sig")))}
+    if human_label not in by_label:
+        raise click.UsageError(f"no curve labeled {human_label!r} in {p}")
+    candidates = [_candidate(label, curve) for label, curve in by_label.items()
+                  if label.startswith("sigma=")]
+    if not candidates:
+        raise click.ClickException("no 'sigma=<value>' candidate curves found")
+    sigma_star, distances = deformation.select_thickness(candidates, by_label[human_label])
     for s in sorted(distances):
         click.echo(f"sigma={s}: rms={distances[s]:.6g} N")
     click.echo(f"selected sigma: {sigma_star}")
@@ -332,12 +342,9 @@ def simulate(config_path, design_ids, displacement_max, steps, out_dir):
     if not 0 <= dmax < math.inf:
         raise click.UsageError(f"displacement-max must be finite and >= 0, got {dmax}")
     out = _output_dir(out_dir)
-    try:
-        trajectories = {
-            name: kinematics.sweep_trajectory(cfg, dmax, nsteps) for name, cfg in presets.items()
-        }
-    except HandforgeError as exc:
-        raise click.ClickException(str(exc))
+    trajectories = {
+        name: kinematics.sweep_trajectory(cfg, dmax, nsteps) for name, cfg in presets.items()
+    }
     for name, traj in trajectories.items():
         rows = ["displacement,y,z"]
         rows += [

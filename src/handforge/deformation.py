@@ -1,4 +1,4 @@
-"""Force-strain deformation curves: ingestion, resampling, distance and
+"""Force-strain deformation curves: ingestion, distance and
 tissue-thickness selection.
 
 Candidate tube walls are compared against a human-finger reference curve
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyOverlap, GridOutOfRange, MalformedTable, NonMonotoneStrain
+from .errors import DuplicateCandidate, EmptyOverlap, MalformedTable, NonMonotoneStrain
 
 DEFAULT_GRID_POINTS = 100
 
@@ -47,14 +47,6 @@ class DeformationCurve:
             raise MalformedTable(f"{self.label}: negative force")
         return self
 
-    @property
-    def min_strain(self) -> float:
-        return float(self.strains[0])
-
-    @property
-    def max_strain(self) -> float:
-        return float(self.strains[-1])
-
 
 @dataclass
 class ThicknessCandidate:
@@ -76,12 +68,14 @@ def load_curves(text: str) -> list[DeformationCurve]:
     if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):
         raise MalformedTable(f"curve table needs columns {sorted(required)}, got {reader.fieldnames}")
     rows: dict[str, list[tuple[float, float]]] = {}
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         try:
             strain = float(row["strain"])
             force = float(row["force"])
         except (TypeError, ValueError):
-            raise MalformedTable(f"non-numeric value at line {lineno}") from None
+            raise MalformedTable(f"non-numeric value at line {reader.line_num}") from None
+        if not row["label"]:
+            raise MalformedTable(f"no label at line {reader.line_num}")
         rows.setdefault(row["label"], []).append((strain, force))
     if not rows:
         raise MalformedTable("curve table has a header but no rows")
@@ -105,32 +99,16 @@ def dump_curves(curves: list[DeformationCurve]) -> str:
     return out.getvalue()
 
 
-def resample_curve(curve: DeformationCurve, grid) -> DeformationCurve:
-    """Piecewise-linear interpolation of force on the given strain grid."""
-    grid = np.asarray(grid, dtype=np.float64).reshape(-1)
-    if len(grid) == 0:
-        raise GridOutOfRange("empty resampling grid")
-    if grid[0] < curve.min_strain - 1e-12 or grid[-1] > curve.max_strain + 1e-12:
-        raise GridOutOfRange(
-            f"{curve.label}: grid [{grid[0]}, {grid[-1]}] leaves the curve range "
-            f"[{curve.min_strain}, {curve.max_strain}]"
-        )
-    return DeformationCurve(grid, np.interp(grid, curve.strains, curve.forces), curve.label)
-
-
-def common_grid(a: DeformationCurve, b: DeformationCurve) -> np.ndarray:
-    lo = max(a.min_strain, b.min_strain)
-    hi = min(a.max_strain, b.max_strain)
+def curve_distance(a: DeformationCurve, b: DeformationCurve) -> float:
+    """RMS force difference of the two curves, each interpolated piecewise
+    linearly at DEFAULT_GRID_POINTS strains spanning their overlap."""
+    lo = max(float(a.strains[0]), float(b.strains[0]))
+    hi = min(float(a.strains[-1]), float(b.strains[-1]))
     if lo >= hi:
         raise EmptyOverlap(f"curves {a.label!r} and {b.label!r} have disjoint strain ranges")
-    return np.linspace(lo, hi, DEFAULT_GRID_POINTS)
-
-
-def curve_distance(a: DeformationCurve, b: DeformationCurve) -> float:
-    """RMS force difference over the common strain grid."""
-    grid = common_grid(a, b)
-    fa = resample_curve(a, grid).forces
-    fb = resample_curve(b, grid).forces
+    grid = np.linspace(lo, hi, DEFAULT_GRID_POINTS)
+    fa = np.interp(grid, a.strains, a.forces)
+    fb = np.interp(grid, b.strains, b.forces)
     return float(np.sqrt(np.mean((fa - fb) ** 2)))
 
 
@@ -138,11 +116,15 @@ def select_thickness(candidates: list[ThicknessCandidate], human: DeformationCur
     """Pick the sigma whose curve is closest to the human reference.
 
     Returns (sigma_star, {sigma: distance}); ties break toward smaller sigma.
+    Two candidates for one sigma are refused.
     """
     if not candidates:
         raise ValueError("need at least one thickness candidate")
-    distances = {}
+    distances, labels = {}, {}
     for cand in candidates:
+        if cand.sigma in labels:
+            raise DuplicateCandidate(f"sigma={cand.sigma} twice: {labels[cand.sigma]!r} and {cand.curve.label!r}")
+        labels[cand.sigma] = cand.curve.label
         try:
             distances[cand.sigma] = curve_distance(cand.curve, human)
         except EmptyOverlap as exc:

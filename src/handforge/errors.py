@@ -77,12 +77,12 @@ class NonMonotoneStrain(HandforgeError):
     """Strain samples within one curve are not strictly increasing."""
 
 
-class GridOutOfRange(HandforgeError):
-    """Resampling grid leaves the strain range of the curve."""
-
-
 class EmptyOverlap(HandforgeError):
     """Two curves have disjoint strain ranges."""
+
+
+class DuplicateCandidate(HandforgeError):
+    """Two thickness candidates share one sigma."""
 
 
 # --- kinematics ---

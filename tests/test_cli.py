@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from handforge import deformation, fixtures, kinematics
+from handforge import cli, deformation, fixtures, kinematics
 from handforge.cli import main
-from handforge.errors import GapTooSmall
+from handforge.errors import EmptyOverlap, GapTooSmall
 from handforge.tissue_gen import SelfIntersectionWarning
 
 
@@ -99,7 +99,7 @@ class TestValidate:
         p = tmp_path / "config.json"
         p.write_text(json.dumps(bad))
         result = run("validate", "--config", str(p))
-        assert result.exit_code == 1
+        assert result.exit_code == 2
         assert "tube" in result.output
 
     def test_infinite_support_radius(self, demo, tmp_path):
@@ -107,9 +107,16 @@ class TestValidate:
         bad = dict(config, tube={"sigma": 0.4, "support_count": 4, "support_radius": float("inf")})
         p = tmp_path / "config.json"
         p.write_text(json.dumps(bad))  # written as the JSON extension Infinity
-        assert_refused(run("validate", "--config", str(p)), 1, "support_radius")
+        assert_refused(run("validate", "--config", str(p)), 2, "support_radius")
         result = run("gen-tissue", "--config", str(p), "--bone-id", "index_distal")
         assert_refused(result, 2, "support_radius")
+
+    def test_byte_order_mark_is_read(self, demo, tmp_path):
+        root, config = demo
+        lm = tmp_path / "landmarks.json"
+        lm.write_bytes(b"\xef\xbb\xbf" + (root / "target_landmarks.json").read_bytes())
+        result = run("validate", "--config", _config_with(tmp_path, config, landmarks=str(lm)))
+        assert result.exit_code == 0, result.output
 
     def test_demo_written_to_relative_path(self, tmp_path, monkeypatch):
         # the README walkthrough: write `demo`, then validate from inside it
@@ -298,6 +305,27 @@ class TestSelectThickness:
         p.write_text(deformation.dump_curves(curves))
         assert_refused(run("select-thickness", "--curves", str(p)), 1, repr(label))
 
+    def test_byte_order_mark_is_read(self, demo, tmp_path):
+        # as the JSON inputs are: UTF-8 with or without a byte order mark
+        root, _ = demo
+        p = tmp_path / "curves.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + (root / "curves.csv").read_bytes())
+        result = run("select-thickness", "--curves", str(p))
+        assert result.exit_code == 0, result.output
+        assert "selected sigma: 0.4" in result.output
+
+    def test_refusal_raises_with_its_domain_error(self, tmp_path):
+        # the in-process contract: exit code 1, and the HandforgeError as context
+        curves = fixtures.make_demo_curves()
+        odd = curves[1]
+        curves.append(deformation.DeformationCurve(odd.strains + 10.0, odd.forces, "sigma=0.9"))
+        p = tmp_path / "curves.csv"
+        p.write_text(deformation.dump_curves(curves))
+        with pytest.raises(click.ClickException) as info:
+            main.main(["select-thickness", "--curves", str(p)], prog_name="handforge", standalone_mode=False)
+        assert info.value.exit_code == 1
+        assert isinstance(info.value.__context__, EmptyOverlap)
+
 
 class TestSimulate:
     def test_preset_sweep(self, tmp_path):
@@ -391,6 +419,31 @@ class TestSimulate:
         assert (a / "trajectory_design_1.csv").read_bytes() == (b / "trajectory_design_1.csv").read_bytes()
 
 
+class TestCrash:
+    """An exception that is not a HandforgeError is a bug, not a refusal,
+    whether a layer function or a parser of an input file raises it."""
+
+    @pytest.fixture(params=["layer", "parser"])
+    def argv(self, request, monkeypatch, demo, tmp_path):
+        def broken(*args):
+            raise RuntimeError("broken")
+        if request.param == "layer":
+            monkeypatch.setattr(kinematics, "sweep_trajectory", broken)
+            return ["simulate", "--out", str(tmp_path)]
+        monkeypatch.setattr(cli, "parse_mesh", broken)
+        return ["validate", "--config", str(demo[0] / "config.json")]
+
+    def test_raised_as_itself_in_process(self, argv):
+        with pytest.raises(RuntimeError, match="broken"):
+            main.main(argv, prog_name="handforge", standalone_mode=False)
+
+    def test_exits_3_with_its_traceback(self, argv):
+        result = run(*argv)
+        assert result.exit_code == 3, result.output
+        assert "Traceback" in result.output and "RuntimeError: broken" in result.output
+        assert not any(line.startswith("Error:") for line in result.output.splitlines())
+
+
 class TestInfo:
     def test_lists_schema_and_presets(self):
         result = run("info")
@@ -417,6 +470,31 @@ def _landmarks_with(root, tmp_path, name, value) -> str:
     doc = json.loads((root / "target_landmarks.json").read_text())
     path = tmp_path / "landmarks.json"
     path.write_text(json.dumps({**doc, name: value}))
+    return str(path)
+
+
+def _template_without_landmarks(root, tmp_path) -> str:
+    template = tmp_path / "template"
+    shutil.copytree(root / "template", template)
+    (template / "landmarks.json").unlink()
+    return str(template)
+
+
+def _edited_copy(tmp_path, source, old, new, encoding="utf-8") -> str:
+    """A copy of `source`, its first `old` replaced by `new`. In Latin-1,
+    an accented letter of `new` is not UTF-8."""
+    path = tmp_path / source.name
+    path.write_bytes(source.read_text().replace(old, new, 1).encode(encoding))
+    return str(path)
+
+
+def _curves_with_copy(root, tmp_path, label, new_label) -> str:
+    """The demo curves plus a copy of `label`'s curve under `new_label`."""
+    curves = deformation.load_curves((root / "curves.csv").read_text())
+    copy = next(c for c in curves if c.label == label)
+    path = tmp_path / "curves.csv"
+    path.write_text(deformation.dump_curves(
+        [*curves, deformation.DeformationCurve(copy.strains, copy.forces, new_label)]))
     return str(path)
 
 
@@ -464,6 +542,22 @@ MALFORMED = {
         "fit-bones", "--config", _config_with(tmp, cfg, template_dir=_a_file(tmp)), "--out", str(tmp / "out")]),
     "select-thickness output is a directory": (2, "cannot write", lambda root, cfg, tmp: [
         "select-thickness", "--curves", str(root / "curves.csv"), "--out", str(tmp)]),
+    "validate template without landmarks": (2, "landmarks.json", lambda root, cfg, tmp: [
+        "validate", "--config", _config_with(tmp, cfg, template_dir=_template_without_landmarks(root, tmp))]),
+    "fit-bones template without landmarks": (2, "landmarks.json", lambda root, cfg, tmp: [
+        "fit-bones", "--config", _config_with(tmp, cfg, template_dir=_template_without_landmarks(root, tmp)),
+        "--out", str(tmp / "out")]),
+    "config is not UTF-8": (2, "utf-8", lambda root, cfg, tmp: [
+        "validate", "--config", _edited_copy(tmp, root / "config.json", "{", '{"note": "café",', "latin-1")]),
+    "landmark file is not UTF-8": (1, "utf-8", lambda root, cfg, tmp: [
+        "validate", "--config", _config_with(
+            tmp, cfg, landmarks=_edited_copy(tmp, root / "target_landmarks.json", "{", '{"café": 0,', "latin-1"))]),
+    "curves are not UTF-8": (1, "utf-8", lambda root, cfg, tmp: [
+        "select-thickness", "--curves", _edited_copy(tmp, root / "curves.csv", "\n", "\n0,0,café\n", "latin-1")]),
+    "curves row without a label": (1, "no label", lambda root, cfg, tmp: [
+        "select-thickness", "--curves", _edited_copy(tmp, root / "curves.csv", "\n", "\n0.5,1.0\n")]),
+    "two candidates for one sigma": (1, "sigma=0.40", lambda root, cfg, tmp: [
+        "select-thickness", "--curves", _curves_with_copy(root, tmp, "sigma=0.8", "sigma=0.40")]),
 }
 
 

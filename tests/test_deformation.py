@@ -3,7 +3,7 @@ import pytest
 
 from handforge import deformation as dfm
 from handforge.deformation import DeformationCurve, ThicknessCandidate
-from handforge.errors import EmptyOverlap, GridOutOfRange, MalformedTable, NonMonotoneStrain
+from handforge.errors import DuplicateCandidate, EmptyOverlap, MalformedTable, NonMonotoneStrain
 from handforge.fixtures import make_demo_curves
 
 
@@ -53,6 +53,15 @@ class TestLoadCurves:
         with pytest.raises(MalformedTable, match="line 3"):
             dfm.load_curves(text)
 
+    def test_located_past_blank_lines(self):
+        with pytest.raises(MalformedTable, match="line 4"):
+            dfm.load_curves("strain,force,label\n\n0.0,0.0,a\n0.5,soft,a\n")
+
+    @pytest.mark.parametrize("row", ["0.5,2.0,", "0.5,2.0"], ids=["empty", "missing"])
+    def test_row_without_label_located(self, row):
+        with pytest.raises(MalformedTable, match="no label at line 3"):
+            dfm.load_curves(f"strain,force,label\n0.0,0.0,a\n{row}\n1.0,5.0,a\n")
+
     def test_single_sample_curve(self):
         with pytest.raises(MalformedTable, match="at least 2"):
             dfm.load_curves("strain,force,label\n0.1,1.0,a\n")
@@ -64,25 +73,6 @@ class TestLoadCurves:
         for c, b in zip(sorted(curves, key=lambda c: c.label), sorted(back, key=lambda c: c.label)):
             assert np.array_equal(c.strains, b.strains)
             assert np.array_equal(c.forces, b.forces)
-
-
-class TestResample:
-    def test_midpoint(self):
-        c = curve([0.0, 1.0], [0.0, 10.0])
-        out = dfm.resample_curve(c, [0.5])
-        assert out.forces[0] == pytest.approx(5.0)
-
-    def test_identity_grid_exact(self):
-        c = curve([0.0, 0.3, 0.7, 1.0], [0.0, 2.0, 9.0, 11.0])
-        out = dfm.resample_curve(c, c.strains)
-        assert np.array_equal(out.forces, c.forces)
-
-    def test_out_of_range(self):
-        c = curve([0.1, 1.0], [0.0, 1.0])
-        with pytest.raises(GridOutOfRange):
-            dfm.resample_curve(c, [0.0, 0.5])
-        with pytest.raises(GridOutOfRange):
-            dfm.resample_curve(c, [0.5, 1.5])
 
 
 class TestDistance:
@@ -130,6 +120,13 @@ class TestSelectThickness:
         forward, _ = dfm.select_thickness(cands, human)
         backward, _ = dfm.select_thickness(list(reversed(cands)), human)
         assert forward == backward
+
+    def test_two_candidates_for_one_sigma(self):
+        human = linear_curve(2.0, "human")
+        cands = [ThicknessCandidate(0.4, linear_curve(2.0, "sigma=0.4")),
+                 ThicknessCandidate(0.4, linear_curve(9.0, "sigma=0.40"))]
+        with pytest.raises(DuplicateCandidate, match=r"sigma=0.4 twice: 'sigma=0.4' and 'sigma=0.40'"):
+            dfm.select_thickness(cands, human)
 
     def test_single_candidate(self):
         human = linear_curve(2.0, "human")
