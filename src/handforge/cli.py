@@ -13,7 +13,6 @@ import json
 import math
 import sys
 import traceback
-import warnings
 from pathlib import Path
 
 import click
@@ -120,7 +119,7 @@ def _load_template_set(template_dir: Path, topology) -> BoneTemplateSet:
 
 def _load_topology(template_dir: Path):
     topo_file = template_dir / "topology.json"
-    if topo_file.is_file():
+    if topo_file.exists() or topo_file.is_symlink():  # one that cannot be read exits 2
         return _read(topo_file, lambda data: load_topology(json.loads(data)))
     return default_topology()
 
@@ -227,32 +226,32 @@ def gen_tissue(config_path, bone_ids, sigma, out_dir):
     scan = _read(_config_path(cfg, "scan"), parse_mesh)
     refusal = None
     for bone_id, path in paths.items():
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                bone = parse_mesh(path.read_bytes())
-                segment = tissue_gen.extract_segment(scan, bone)
-                shell = tissue_gen.build_concentric_tube(segment, bone, spec)
-                solid = tissue_gen.solid_gap_volume(segment, bone)
-                files = tissue_gen.export_shell(shell, solid)
-            except HandforgeError as exc:
-                # the last refusal is raised after the loop and the earlier ones
-                # shown; each keeps its domain error as context, as if raised here
-                if refusal is not None:
-                    refusal.show()
-                refusal = click.ClickException(f"{bone_id}: {exc}")
-                refusal.__context__ = exc
-            else:
-                (out / f"{bone_id}_shell.stl").write_bytes(files["shell.stl"])
-                (out / f"{bone_id}_shell_report.json").write_bytes(files["report.json"])
-                report = json.loads(files["report.json"])
-                click.echo(
-                    f"{bone_id}: shell {report['material_volume_ml']:.3f} ml "
-                    f"(solid would be {report['solid_volume_ml']:.3f} ml)"
-                )
-        for w in caught:  # re-issued from where each was raised, naming the bone
-            w.message.args = (f"{bone_id}: {w.message}", *w.message.args[1:])
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        try:
+            bone = parse_mesh(path.read_bytes())
+            segment = tissue_gen.extract_segment(scan, bone)
+            shell = tissue_gen.build_concentric_tube(segment, bone, spec)
+            solid = tissue_gen.solid_gap_volume(segment, bone)
+            files = tissue_gen.export_shell(shell, solid)
+        except HandforgeError as exc:
+            # the last refusal is raised after the loop and the earlier ones
+            # shown; each keeps its domain error as context, as if raised here
+            if refusal is not None:
+                refusal.show()
+            refusal = click.ClickException(f"{bone_id}: {exc}")
+            refusal.__context__ = exc
+        else:
+            (out / f"{bone_id}_shell.stl").write_bytes(files["shell.stl"])
+            (out / f"{bone_id}_shell_report.json").write_bytes(files["report.json"])
+            report = json.loads(files["report.json"])
+            click.echo(
+                f"{bone_id}: shell {report['material_volume_ml']:.3f} ml "
+                f"(solid would be {report['solid_volume_ml']:.3f} ml)"
+            )
+            for delta, pairs in shell.folds.items():
+                if pairs:
+                    more = "+" if len(pairs) >= tissue_gen.PAIR_CAP else ""
+                    click.echo(f"warning: {bone_id}: offset by {delta} mm self-intersects "
+                               f"at {len(pairs)}{more} face pairs")
     if refusal is not None:
         raise refusal
 
@@ -270,6 +269,8 @@ def _candidate(label: str, curve) -> deformation.ThicknessCandidate:
 @click.option("--out", "out_path", type=str, default=None, help="Write the report JSON here.")
 def select_thickness(curves_path, human_label, out_path):
     """Pick the tube wall whose deformation curve is closest to the reference."""
+    if human_label.startswith("sigma="):
+        raise click.UsageError(f"--human-label {human_label!r} is a candidate label, not a reference")
     p = Path(curves_path)
     by_label = {c.label: c for c in _read(p, lambda data: deformation.load_curves(data.decode("utf-8-sig")))}
     if human_label not in by_label:

@@ -4,19 +4,19 @@ strut supports, and account for printable material volume.
 
 Offsetting is per-vertex along area-weighted normals; self-intersections
 of the two built walls are detected (sparse grid candidates, Moller-Trumbore
-edge tests) and reported, never repaired. The bone's principal axis sets
-both the segment cuts and the strut directions. The orientation, containment
-and gap checks test every edge or vertex, the last two through the face BVH
-of `primitives`: on the closed segment the winding number is a count of
-certified ray crossings, and the gap is the exact smallest distance from
-any bone vertex to the segment, found in one pruned query.
+edge tests) and returned with the shell, never repaired. The bone's
+principal axis sets both the segment cuts and the strut directions. The
+orientation, containment and gap checks test every edge or vertex, the
+last two through the face BVH of `primitives`: on the closed segment the
+winding number is a count of certified ray crossings, and the gap is the
+exact smallest distance from any bone vertex to the segment, found in one
+pruned query.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .primitives import (
     winding_numbers,
 )
 
-_PAIR_CAP = 100
+PAIR_CAP = 100  # fold pairs kept per wall
 _SEGMENT_MARGIN = 2.0  # mm of skin kept beyond each end of the bone
 
 
@@ -67,23 +67,18 @@ def _empty_mesh() -> TriangleMesh:
 @dataclass
 class ShellModel:
     """Hollow tissue shell: outer wall (outward wound), inner wall (inward
-    wound, so the cavity reads as a hole) and optional strut supports."""
+    wound, so the cavity reads as a hole) and optional strut supports.
+    `folds` maps each wall's offset (-sigma outer, +sigma inner) to its
+    `find_self_intersections` pairs."""
 
     outer: TriangleMesh
     inner: TriangleMesh
     supports: TriangleMesh = field(default_factory=_empty_mesh)
+    folds: dict[float, list[tuple[int, int]]] = field(default_factory=dict)
 
     @property
     def material_volume_mm3(self) -> float:
         return signed_volume(self.outer) + signed_volume(self.inner) + signed_volume(self.supports)
-
-
-class SelfIntersectionWarning(UserWarning):
-    """Offset produced locally self-intersecting geometry (face pairs attached)."""
-
-    def __init__(self, message, pairs):
-        super().__init__(message)
-        self.pairs = pairs
 
 
 def _grid_cells(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,7 +101,7 @@ def _grid_cells(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return face, np.unique(key, return_inverse=True)[1]
 
 
-def find_self_intersections(mesh: TriangleMesh, max_pairs: int = _PAIR_CAP) -> list[tuple[int, int]]:
+def find_self_intersections(mesh: TriangleMesh, max_pairs: int = PAIR_CAP) -> list[tuple[int, int]]:
     """Non-adjacent face pairs (i, j), i < j, whose triangles cross: an edge of
     one passes through the other's interior (exactly coplanar overlaps are not
     detected). Sorted and cut to the first max_pairs, so the count is exact
@@ -176,8 +171,8 @@ def build_concentric_tube(skin_segment: TriangleMesh, bone: TriangleMesh, spec: 
     surface keeps its winding number at points it never crosses (Jacobson
     et al. 2013). So w(outer, p') = w(S, p). Prove it anew for other walls.
 
-    Folds of the built walls, outer first, are reported (not repaired) as a
-    SelfIntersectionWarning carrying the face pairs of that wall.
+    Folds of the built walls, outer first, are returned with the shell (not
+    repaired) as `ShellModel.folds`.
     """
     _require_watertight(skin_segment, "skin segment")
     _require_watertight(bone, "bone")
@@ -192,13 +187,8 @@ def build_concentric_tube(skin_segment: TriangleMesh, bone: TriangleMesh, spec: 
     outer.name = "shell_outer"
     inner = offset_surface(bone, +spec.sigma).flipped()
     inner.name = "shell_inner"
-    for wall, delta in ((outer, -spec.sigma), (inner, spec.sigma)):
-        pairs = find_self_intersections(wall)
-        if pairs:
-            more = "+" if len(pairs) >= _PAIR_CAP else ""
-            warnings.warn(SelfIntersectionWarning(
-                f"offset by {delta} mm self-intersects at {len(pairs)}{more} face pairs", pairs), stacklevel=2)
-    return add_supports(ShellModel(outer=outer, inner=inner), spec)
+    folds = {-spec.sigma: find_self_intersections(outer), spec.sigma: find_self_intersections(inner)}
+    return add_supports(ShellModel(outer=outer, inner=inner, folds=folds), spec)
 
 
 def _principal_axis(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,7 +227,7 @@ def add_supports(shell: ShellModel, spec: TubeSpec) -> ShellModel:
                      spec.support_radius, name=f"strut_{k}")
         )
     merged = merge_meshes([shell.supports] + struts, "supports")
-    return ShellModel(outer=shell.outer, inner=shell.inner, supports=merged)
+    return replace(shell, supports=merged)
 
 
 def solid_gap_volume(skin_segment: TriangleMesh, bone: TriangleMesh) -> float:

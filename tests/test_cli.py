@@ -1,6 +1,5 @@
 import json
 import shutil
-import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -9,10 +8,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from handforge import cli, deformation, fixtures, kinematics
+from handforge import cli, deformation, fixtures, kinematics, tissue_gen
 from handforge.cli import main
 from handforge.errors import EmptyOverlap, GapTooSmall
-from handforge.tissue_gen import SelfIntersectionWarning
 
 
 @pytest.fixture(scope="module")
@@ -229,16 +227,24 @@ class TestGenTissue:
         assert sum(name.endswith("_shell.stl") for name in files) == 3
 
     def test_each_fold_warning_names_its_bone(self, fitted, tmp_path):
-        # both bones fold at "2 face pairs"; under the default filter an
-        # unnamed repeat of that text from one line would be hidden
+        # both bones fold at "2 face pairs", each line right after its bone's shell line
         argv, _ = gen_tissue(fitted, tmp_path, ["middle_metacarpal", "middle_proximal"])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            assert run(*argv).exit_code == 0
-        assert [str(w.message) for w in caught] == [
-            f"{bone}: offset by -0.4 mm self-intersects at 2 face pairs"
+        result = run(*argv)
+        assert result.exit_code == 0, result.output
+        lines = result.output.splitlines()
+        assert [lines[i + 1] for i, line in enumerate(lines) if ": shell " in line] == [
+            f"warning: {bone}: offset by -0.4 mm self-intersects at 2 face pairs"
             for bone in ("middle_metacarpal", "middle_proximal")]
-        assert all(w.category is SelfIntersectionWarning and len(w.message.pairs) == 2 for w in caught)
+
+    @pytest.mark.parametrize("n, more", [(99, ""), (100, "+")])
+    def test_fold_warning_marks_the_cap(self, fitted, tmp_path, monkeypatch, n, more):
+        monkeypatch.setattr(tissue_gen, "find_self_intersections", lambda mesh: [(0, 1)] * n)
+        argv, _ = gen_tissue(fitted, tmp_path, ["index_distal"])
+        result = run(*argv)
+        assert result.exit_code == 0, result.output
+        assert [line for line in result.output.splitlines() if line.startswith("warning:")] == [
+            f"warning: index_distal: offset by {delta} mm self-intersects at {n}{more} face pairs"
+            for delta in (-0.4, 0.4)]
 
     def test_refused_bone_does_not_stop_later_bones(self, fitted, tmp_path):
         argv, out = gen_tissue(fitted, tmp_path, ["index_distal", "little_metacarpal", "middle_distal"])
@@ -265,8 +271,7 @@ class TestGenTissue:
     def test_refusal_raises_with_its_domain_error(self, fitted, tmp_path, bones):
         # the in-process contract: exit code 1, and the HandforgeError as context
         argv, out = gen_tissue(fitted, tmp_path, bones)
-        with pytest.raises(click.ClickException) as info, warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with pytest.raises(click.ClickException) as info:
             main.main(argv, prog_name="handforge", standalone_mode=False)
         assert info.value.exit_code == 1
         assert isinstance(info.value.__context__, GapTooSmall)
@@ -498,6 +503,15 @@ def _curves_with_copy(root, tmp_path, label, new_label) -> str:
     return str(path)
 
 
+def _template_with_topology_as(root, tmp_path, make) -> str:
+    """A template copy whose topology.json is replaced by `make(path)`."""
+    template = tmp_path / "template"
+    shutil.copytree(root / "template", template)
+    (template / "topology.json").unlink()
+    make(template / "topology.json")
+    return str(template)
+
+
 def _a_file(tmp_path) -> str:
     path = tmp_path / "taken"
     path.write_text("")
@@ -527,6 +541,14 @@ MALFORMED = {
     "topology triple too short": (1, "bones", lambda root, cfg, tmp: [
         "fit-bones", "--config", _config_with(tmp, cfg, template_dir=_template_with_topology(
             root, tmp, {"bones": [["index_proximal", "index_mcp"]]}))]),
+    "topology is a directory": (2, "topology.json", lambda root, cfg, tmp: [
+        "fit-bones", "--config", _config_with(tmp, cfg, template_dir=_template_with_topology_as(
+            root, tmp, Path.mkdir)), "--out", str(tmp / "out")]),
+    "topology is a dangling link": (2, "topology.json", lambda root, cfg, tmp: [
+        "validate", "--config", _config_with(tmp, cfg, template_dir=_template_with_topology_as(
+            root, tmp, lambda path: path.symlink_to(tmp / "gone.json")))]),
+    "human label is a candidate": (2, "human-label", lambda root, cfg, tmp: [
+        "select-thickness", "--curves", str(root / "curves.csv"), "--human-label", "sigma=0.6"]),
     "fit-bones output is a file": (2, "taken", lambda root, cfg, tmp: [
         "fit-bones", "--config", str(root / "config.json"), "--out", _a_file(tmp)]),
     "simulate output is a file": (2, "taken", lambda root, cfg, tmp: [

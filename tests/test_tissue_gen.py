@@ -8,10 +8,12 @@ import oracles
 from handforge import mesh_io as mio, primitives, tissue_gen as tg
 from handforge.errors import ContainmentError, GapTooSmall, MeshInvariantError, PlacementFailure
 from handforge.mesh_io import TriangleMesh
-from handforge.tissue_gen import SelfIntersectionWarning, TubeSpec
+from handforge.tissue_gen import TubeSpec
 
 
 SMALL_BONE = primitives.icosphere(1.0, 1)  # deep inside the merged skins, so its wall has no folds
+# a sphere pierced by a cube: its inward offset folds where they cross
+SPIKED_SKIN = mio.merge_meshes([primitives.icosphere(10.0, 3), primitives.cube(2.0, center=(10.0, 0.0, 0.0))])
 
 
 def sphere_volume(r):
@@ -78,24 +80,29 @@ class TestSelfIntersections:
         assert all((i < n_sphere) != (j < n_sphere) for i, j in pairs)
 
     def test_warning_carries_pairs(self):
-        base = primitives.icosphere(10.0, 3)
-        spike = primitives.cube(2.0, center=(10.0, 0.0, 0.0))
-        merged = mio.merge_meshes([base, spike])
-        with pytest.warns(SelfIntersectionWarning) as rec:
-            tg.build_concentric_tube(merged, SMALL_BONE, TubeSpec(sigma=1e-6, support_count=0))
-        assert len(rec[0].message.pairs) > 0
+        # the shell returns each wall's pairs, outer (-sigma) first
+        shell = tg.build_concentric_tube(SPIKED_SKIN, SMALL_BONE, TubeSpec(sigma=1e-6, support_count=0))
+        assert list(shell.folds) == [-1e-6, 1e-6]
+        assert len(shell.folds[-1e-6]) > 0 and shell.folds[1e-6] == []
 
     @pytest.mark.parametrize("other, capped", [
         (primitives.cube(2.0, center=(10.0, 0.0, 0.0)), False),
         (primitives.icosphere(10.0, 3, center=(3.0, 0.1, 0.2)), True),
     ])
     def test_warning_count_marks_cap(self, other, capped):
+        # a wall is cut to exactly PAIR_CAP pairs when it folds more often;
+        # gen-tissue marks that count with a "+"
         merged = mio.merge_meshes([primitives.icosphere(10.0, 3), other])
-        with pytest.warns(SelfIntersectionWarning) as rec:
-            tg.build_concentric_tube(merged, SMALL_BONE, TubeSpec(sigma=1e-6, support_count=0))
-        n = len(rec[0].message.pairs)
+        shell = tg.build_concentric_tube(merged, SMALL_BONE, TubeSpec(sigma=1e-6, support_count=0))
+        n = len(shell.folds[-1e-6])
+        assert 0 < n <= tg.PAIR_CAP == 100
         assert (n == 100) == capped
-        assert f"at {n}{'+' if capped else ''} face pairs" in str(rec[0].message)
+
+    def test_folds_survive_supports(self):
+        bare = tg.build_concentric_tube(SPIKED_SKIN, SMALL_BONE, TubeSpec(sigma=1e-6, support_count=0))
+        shell = tg.add_supports(bare, TubeSpec(sigma=1e-6, support_count=4))
+        assert len(shell.supports.faces) > 0
+        assert shell.folds == bare.folds and bare.folds[-1e-6]
 
 
 class TestBuildTube:
