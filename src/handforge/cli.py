@@ -28,7 +28,6 @@ from .template_match import (
     place_ligament_holes,
 )
 
-MESH_FORMATS = ("stl_binary", "stl_ascii", "obj")
 PATH_KEYS = ("scan", "landmarks", "template_dir", "out_dir")
 
 
@@ -88,11 +87,21 @@ def _landmarks(data: bytes):
     return load_landmarks(json.loads(data))
 
 
+def _numbers(where: str, doc: dict, keys) -> None:
+    """Refuse a value of `keys` in doc that is not a JSON number or a list of
+    them: a boolean or a numeric string is not read as a number."""
+    for key in (key for key in keys if key in doc):
+        values = doc[key] if isinstance(doc[key], list) else [doc[key]]
+        if not all(type(x) in (int, float) for x in values):
+            raise click.UsageError(f"{where}: {key!r} must hold only numbers, got {json.dumps(doc[key])}")
+
+
 def _tube_spec(cfg: dict, sigma=None) -> tissue_gen.TubeSpec:
     """The config's tube spec, its sigma replaced by `sigma` if given."""
     tube = {**cfg.get("tube", {}), **({} if sigma is None else {"sigma": sigma})}
     if "sigma" not in tube:
         raise click.UsageError("no sigma given (flag --sigma or config tube.sigma)")
+    _numbers("tube", tube, tube)
     try:
         return tissue_gen.TubeSpec(**tube)
     except (TypeError, ValueError) as exc:
@@ -180,23 +189,21 @@ def validate(config_path):
 @main.command("fit-bones")
 @click.option("--config", "config_path", required=True, type=str)
 @click.option("--out", "out_dir", type=str, default=None, help="Override output directory.")
-@click.option("--format", "fmt", type=click.Choice(MESH_FORMATS), default="stl_binary")
-def fit_bones(config_path, out_dir, fmt):
+def fit_bones(config_path, out_dir):
     """Fit every template bone to the target landmarks; write per-bone
-    meshes, the transform log, and ligament hole metadata."""
+    binary STLs, the transform log, and ligament hole metadata."""
     cfg = _load_config(config_path)
     out = _output_dir(out_dir or cfg.get("out_dir", "."))
     template_dir = _config_path(cfg, "template_dir")
     topology = _load_topology(template_dir)
     templates = _load_template_set(template_dir, topology)
     target = _read(_config_path(cfg, "landmarks"), _landmarks)
-    ext = {"stl_binary": ".stl", "stl_ascii": ".stl", "obj": ".obj"}[fmt]
     transforms = estimate_all_transforms(templates, topology, target)
     log = []
     holes = {}
     for bone_id, t in transforms.items():
         fitted = apply_transform(templates.meshes[bone_id], t)
-        (out / f"{bone_id}{ext}").write_bytes(write_mesh(fitted, fmt))
+        (out / f"{bone_id}.stl").write_bytes(write_mesh(fitted, "stl_binary"))
         log.append({
             "bone_id": bone_id,
             "theta": t.theta,
@@ -306,6 +313,7 @@ def _config_designs(doc, defaults: dict) -> dict:
     for name, entry in table.items():
         if not isinstance(entry, dict):
             raise click.UsageError(f"design {name!r} must be a JSON object")
+        _numbers(f"design {name!r}", {**defaults, **entry}, ("b", "h", "springs", "lengths", "limits"))
         try:
             configs[name] = kinematics.config_from_document(name, entry, defaults)
         except KeyError as exc:

@@ -53,6 +53,10 @@ class BoneTooShort(HandforgeError):
     """Bone axial extent too small for the requested hole end offsets."""
 
 
+class BoneTooThin(HandforgeError):
+    """Bone has no width along the ligament drill axis."""
+
+
 # --- tissue generation ---
 
 class ContainmentError(HandforgeError):

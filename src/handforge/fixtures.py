@@ -25,6 +25,10 @@ BONE_RADIUS_RATIO = 0.22  # capsule radius as a fraction of bone length
 BONE_RADIUS_MIN = 2.5
 BONE_RADIUS_MAX = 7.0
 BONE_END_INSET_RATIO = 0.18  # capsules stop short of the joints
+SCAN_INFLATE = 6.0  # mm the demo scan's hull points sit outside the bones
+SCAN_SAMPLES_PER_BONE = 60
+CURVE_SIGMAS = (0.3, 0.4, 0.5, 0.6, 0.8)  # mm, the candidate walls of the demo curves
+CURVE_REFERENCE_SIGMA = 0.4  # mm, the candidate that coincides with 'human'
 
 
 def template_landmarks() -> LandmarkSet:
@@ -36,7 +40,7 @@ def bone_radius(length: float) -> float:
     return float(np.clip(BONE_RADIUS_RATIO * length, BONE_RADIUS_MIN, BONE_RADIUS_MAX))
 
 
-def make_bone_mesh(origin2d, reference2d, name: str, segments: int = 16, rings: int = 6) -> TriangleMesh:
+def make_bone_mesh(origin2d, reference2d, name: str) -> TriangleMesh:
     """Capsule bone between two landmarks, inset so neighbors do not touch."""
     origin2d = np.asarray(origin2d, dtype=np.float64)
     reference2d = np.asarray(reference2d, dtype=np.float64)
@@ -45,21 +49,13 @@ def make_bone_mesh(origin2d, reference2d, name: str, segments: int = 16, rings: 
     inset = BONE_END_INSET_RATIO * length
     p0 = origin2d + inset * direction
     p1 = origin2d + (length - inset) * direction
-    mesh = capsule(
-        np.array([p0[0], p0[1], 0.0]),
-        np.array([p1[0], p1[1], 0.0]),
-        bone_radius(length),
-        segments=segments,
-        rings=rings,
-        name=name,
-    )
-    return mesh
+    return capsule(np.array([p0[0], p0[1], 0.0]), np.array([p1[0], p1[1], 0.0]), bone_radius(length),
+                   segments=16, rings=6, name=name)
 
 
-def make_template_set(topology: BoneTopology | None = None) -> BoneTemplateSet:
+def make_template_set(topology: BoneTopology) -> BoneTemplateSet:
     """The shipped parametric template: one capsule per bone in the
     template's global frame."""
-    topology = topology or default_topology()
     lms = template_landmarks()
     meshes = {}
     for bone_id, org, ref in topology.bones:
@@ -72,39 +68,37 @@ def scaled_landmarks(lms: LandmarkSet, factor: float) -> LandmarkSet:
     return LandmarkSet({k: v * factor for k, v in lms.points.items()}).validate()
 
 
-def make_demo_scan(bones: dict[str, TriangleMesh], inflate: float = 6.0,
-                   samples_per_bone: int = 60, seed: int = 0) -> TriangleMesh:
-    """Watertight fake hand scan: convex hull of points pushed `inflate` mm
+def make_demo_scan(bones: dict[str, TriangleMesh], seed: int = 0) -> TriangleMesh:
+    """Watertight fake hand scan: convex hull of points pushed SCAN_INFLATE mm
     outward from sampled bone vertices."""
     rng = np.random.default_rng(seed)
     clouds = []
     for mesh in bones.values():
-        idx = rng.choice(len(mesh.vertices), size=min(samples_per_bone, len(mesh.vertices)), replace=False)
+        idx = rng.choice(len(mesh.vertices), size=min(SCAN_SAMPLES_PER_BONE, len(mesh.vertices)), replace=False)
         pts = mesh.vertices[idx]
         center = mesh.vertices.mean(axis=0)
         away = pts - center
         norms = np.linalg.norm(away, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
-        clouds.append(pts + inflate * away / norms)
+        clouds.append(pts + SCAN_INFLATE * away / norms)
     return convex_hull_mesh(np.concatenate(clouds), name="demo_scan")
 
 
-def make_demo_curves(sigma_values=(0.3, 0.4, 0.5, 0.6, 0.8), reference_sigma: float = 0.4,
-                     n_samples: int = 12, s_max: float = 0.5) -> list[DeformationCurve]:
+def make_demo_curves() -> list[DeformationCurve]:
     """Synthetic force-strain family: force scales linearly with wall
     thickness, so the reference-sigma candidate coincides with 'human'."""
-    strains = np.linspace(0.0, s_max, n_samples)
+    strains = np.linspace(0.0, 0.5, 12)
     human_force = 2.0 * strains + 6.0 * strains ** 2
     curves = [DeformationCurve(strains, human_force, "human").validate()]
-    for sigma in sigma_values:
+    for sigma in CURVE_SIGMAS:
         curves.append(
-            DeformationCurve(strains, (sigma / reference_sigma) * human_force,
+            DeformationCurve(strains, (sigma / CURVE_REFERENCE_SIGMA) * human_force,
                              f"sigma={sigma}").validate()
         )
     return curves
 
 
-def write_demo(out_dir: str | Path, scale: float = 1.0) -> dict:
+def write_demo(out_dir: str | Path) -> dict:
     """Write the full demo fixture set and its pipeline config (paths relative
     to it); returns the config document with absolute paths."""
     out_dir = Path(out_dir)
@@ -121,7 +115,7 @@ def write_demo(out_dir: str | Path, scale: float = 1.0) -> dict:
     (template_dir / "topology.json").write_text(
         json.dumps({"bones": [list(b) for b in topology.bones]}, indent=2) + "\n")
 
-    target = scaled_landmarks(templates.landmarks, scale)
+    target = templates.landmarks  # the demo hand is the template's own size
     (out_dir / "target_landmarks.json").write_text(
         json.dumps(target.to_document(), indent=2) + "\n")
 

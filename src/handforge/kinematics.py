@@ -24,7 +24,6 @@ from .errors import NonConvergence
 # how often each stage's excursion appears in the distal cable length
 STAGE_WEIGHTS = (2.0, 1.0, 1.0)
 DEFAULT_LIMITS = (1.57, 1.92, 1.22)  # MCP, PIP, DIP flexion limits, rad
-STAGE_IDS = ("proximal", "intermediate", "distal")
 RESIDUAL_TARGET = 1e-9  # mm, largest cable-length residual a solve may return
 MAX_BISECTIONS = 300  # the float64 bracket stops shrinking after about 60
 
@@ -35,7 +34,6 @@ class TendonStage:
 
     b: float  # mm
     h: float  # mm/rad
-    stage_id: str = ""
 
     def __post_init__(self):
         if not (0 <= self.b < math.inf and 0 <= self.h < math.inf) or self.b == self.h == 0:
@@ -253,9 +251,7 @@ def config_from_document(design_id: str, doc: dict, defaults: dict) -> FingerCon
     limits = doc.get("limits", defaults["limits"])
     if not len(doc["b"]) == len(doc["h"]) == 3:
         raise ValueError(f"need 3 b and 3 h coefficients, got {len(doc['b'])} and {len(doc['h'])}")
-    stages = tuple(
-        TendonStage(b, h, sid) for b, h, sid in zip(doc["b"], doc["h"], STAGE_IDS)
-    )
+    stages = tuple(TendonStage(b, h) for b, h in zip(doc["b"], doc["h"]))
     return FingerConfig(tuple(lengths), stages, tuple(doc["springs"]), design_id, tuple(limits))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class MeshReport:
     boundary_edge_count: int
     non_manifold_edge_count: int
     signed_volume_mm3: float
-    bbox: tuple = field(default=None)  # ((minx,miny,minz), (maxx,maxy,maxz))
 
 
 def face_normals(mesh: TriangleMesh, normalized: bool = True) -> np.ndarray:
@@ -98,7 +97,7 @@ def _edge_table(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def analyze_mesh(mesh: TriangleMesh) -> MeshReport:
-    """Edge-manifoldness, watertightness, signed volume and bounding box."""
+    """Edge-manifoldness, watertightness and signed volume."""
     if len(mesh.faces) == 0:
         raise EmptyMesh("cannot analyze a mesh with no faces")
     counts = _edge_table(mesh.faces)[0]
@@ -109,7 +108,6 @@ def analyze_mesh(mesh: TriangleMesh) -> MeshReport:
         boundary_edge_count=boundary,
         non_manifold_edge_count=nonmanifold,
         signed_volume_mm3=signed_volume(mesh),
-        bbox=(tuple(mesh.vertices.min(axis=0)), tuple(mesh.vertices.max(axis=0))),
     )
 
 

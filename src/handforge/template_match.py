@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoneTooShort, ZeroReference
+from .errors import BoneTooShort, BoneTooThin, ZeroReference
 from .landmarks import BoneFrame, BoneTopology, LandmarkSet, bone_frame
 from .mesh_io import TriangleMesh
 
@@ -133,7 +133,7 @@ def place_ligament_holes(bone_mesh: TriangleMesh, frame: BoneFrame) -> list[Hole
     the axis line through the mesh centroid, inset by HOLE_END_OFFSET from
     the axial extremes of the vertex projections. The drill axis runs
     palm-width-wise (perpendicular to the long axis and to z), and the hole
-    depth is the bone's width along it.
+    depth is the bone's width along it, refused when zero.
     """
     if len(bone_mesh.faces) == 0:
         raise ValueError("empty bone mesh")
@@ -151,6 +151,8 @@ def place_ligament_holes(bone_mesh: TriangleMesh, frame: BoneFrame) -> list[Hole
         )
     w = bone_mesh.vertices @ drill_axis
     depth = float(w.max() - w.min())
+    if not depth > 0:
+        raise BoneTooThin(f"{frame.bone_id}: no width along the drill axis for the hole depth")
     return [
         HolePose(centroid + (tmin + HOLE_END_OFFSET) * long_axis, drill_axis, HOLE_DIAMETER, depth),
         HolePose(centroid + (tmax - HOLE_END_OFFSET) * long_axis, drill_axis, HOLE_DIAMETER, depth),

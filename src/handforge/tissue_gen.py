@@ -250,10 +250,7 @@ def shell_report(shell: ShellModel, solid_mm3: float) -> dict:
 def export_shell(shell: ShellModel, solid_mm3: float) -> dict[str, bytes]:
     """Printable outputs: one multi-component STL (inner kept inward-wound
     so slicers treat the cavity correctly) plus a JSON volume report."""
-    parts = [shell.outer, shell.inner]
-    if len(shell.supports.faces):
-        parts.append(shell.supports)
-    merged = merge_meshes(parts, "tissue_shell")
+    merged = merge_meshes([shell.outer, shell.inner, shell.supports], "tissue_shell")
     return {
         "shell.stl": write_mesh(merged, "stl_binary"),
         "report.json": (json.dumps(shell_report(shell, solid_mm3), indent=2) + "\n").encode(),

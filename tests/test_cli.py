@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from handforge import cli, deformation, fixtures, kinematics, tissue_gen
+from handforge import cli, deformation, fixtures, kinematics, mesh_io, tissue_gen
 from handforge.cli import main
 from handforge.errors import EmptyOverlap, GapTooSmall
+from handforge.landmarks import default_topology
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +161,10 @@ class TestFitBones:
         assert (out / "index_distal.stl").is_file()
 
     def test_scaled_fixture(self, tmp_path):
-        config = fixtures.write_demo(tmp_path, scale=1.2)
+        fixtures.write_demo(tmp_path)
+        target = tmp_path / "target_landmarks.json"
+        doc = json.loads(target.read_text())
+        target.write_text(json.dumps({name: [1.2 * x for x in point] for name, point in doc.items()}))
         result = run("fit-bones", "--config", str(tmp_path / "config.json"))
         assert result.exit_code == 0, result.output
         log = json.loads((tmp_path / "output" / "transforms.json").read_text())
@@ -177,6 +181,13 @@ class TestFitBones:
             assert result.exit_code == 0, result.output
         for name in ("index_distal.stl", "transforms.json", "holes.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_format_option_is_gone(self, demo, tmp_path):
+        # fitted bones are always <bone>.stl, so gen-tissue never reads a stale one
+        result = run("fit-bones", "--config", str(demo[0] / "config.json"), "--out", str(tmp_path),
+                     "--format", "obj")
+        assert result.exit_code == 2, result.output
+        assert not list(tmp_path.iterdir())
 
 
 class TestGenTissue:
@@ -202,7 +213,10 @@ class TestGenTissue:
     def test_bone_fitted_as_obj(self, tmp_path):
         fixtures.write_demo(tmp_path)
         cfg = str(tmp_path / "config.json")
-        assert run("fit-bones", "--config", cfg, "--format", "obj").exit_code == 0
+        assert run("fit-bones", "--config", cfg).exit_code == 0
+        stl = tmp_path / "output" / "index_distal.stl"
+        stl.with_suffix(".obj").write_bytes(mesh_io.write_mesh(mesh_io.parse_mesh(stl.read_bytes()), "obj"))
+        stl.unlink()
         result = run("gen-tissue", "--config", cfg, "--bone-id", "index_distal")
         assert result.exit_code == 0, result.output
         assert (tmp_path / "output" / "index_distal_shell.stl").is_file()
@@ -512,6 +526,31 @@ def _template_with_topology_as(root, tmp_path, make) -> str:
     return str(template)
 
 
+def _template_with_flat_bone(root, tmp_path, bone_id) -> str:
+    """A template copy whose `bone_id` mesh is one triangle through the bone's
+    two landmarks and a point 3 mm above their midpoint: it has no width
+    along the drill axis."""
+    template = tmp_path / "template"
+    shutil.copytree(root / "template", template)
+    lms = json.loads((template / "landmarks.json").read_text())
+    _, org, ref = next(bone for bone in default_topology().bones if bone[0] == bone_id)
+    a, b = np.array([*lms[org], 0.0]), np.array([*lms[ref], 0.0])
+    flat = mesh_io.TriangleMesh(np.array([a, b, (a + b) / 2 + [0.0, 0.0, 3.0]]), np.array([[0, 1, 2]]))
+    (template / f"{bone_id}.stl").write_bytes(mesh_io.write_mesh(flat, "stl_binary"))
+    return str(template)
+
+
+def _designs_config(tmp_path, **entry) -> str:
+    """A simulate config of one design, a preset's entry with `entry` changes;
+    a `defaults` change goes to the section's defaults."""
+    presets = json.loads(resources.files("handforge.data").joinpath("finger_presets.json").read_text())
+    defaults = entry.pop("defaults", {})
+    path = tmp_path / "designs.json"
+    path.write_text(json.dumps({"designs": {"defaults": defaults,
+                                            "designs": {"d1": {**presets["designs"]["design_1"], **entry}}}}))
+    return str(path)
+
+
 def _a_file(tmp_path) -> str:
     path = tmp_path / "taken"
     path.write_text("")
@@ -580,6 +619,24 @@ MALFORMED = {
         "select-thickness", "--curves", _edited_copy(tmp, root / "curves.csv", "\n", "\n0.5,1.0\n")]),
     "two candidates for one sigma": (1, "sigma=0.40", lambda root, cfg, tmp: [
         "select-thickness", "--curves", _curves_with_copy(root, tmp, "sigma=0.8", "sigma=0.40")]),
+    "tube sigma is a boolean": (2, "sigma", lambda root, cfg, tmp: [
+        "validate", "--config", _config_with(tmp, cfg, tube={**cfg["tube"], "sigma": True})]),
+    "tube support count is a boolean": (2, "support_count", lambda root, cfg, tmp: [
+        "validate", "--config", _config_with(tmp, cfg, tube={**cfg["tube"], "support_count": True})]),
+    "tube sigma is a string": (2, "sigma", lambda root, cfg, tmp: [
+        "gen-tissue", "--config", _config_with(tmp, cfg, tube={**cfg["tube"], "sigma": "0.4"}),
+        "--bone-id", "index_distal"]),
+    "design springs are strings and booleans": (2, "springs", lambda root, cfg, tmp: [
+        "simulate", "--config", _designs_config(tmp, springs=["30", True, 10.0], lengths=["45", 25, 20]),
+        "--out", str(tmp / "out")]),
+    "design length is a string": (2, "lengths", lambda root, cfg, tmp: [
+        "simulate", "--config", _designs_config(tmp, lengths=["45", 25, 20]), "--out", str(tmp / "out")]),
+    "design default limit is a boolean": (2, "limits", lambda root, cfg, tmp: [
+        "simulate", "--config", _designs_config(tmp, defaults={"limits": [True, 1.9, 1.2]}),
+        "--out", str(tmp / "out")]),
+    "template bone has no width": (1, "thumb_metacarpal", lambda root, cfg, tmp: [
+        "fit-bones", "--config", _config_with(tmp, cfg, template_dir=_template_with_flat_bone(
+            root, tmp, "thumb_metacarpal")), "--out", str(tmp / "out")]),
 }
 
 

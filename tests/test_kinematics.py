@@ -258,7 +258,7 @@ class TestPresets:
         base = configs[meta["baseline"]]
         slimmed = FingerConfig(
             base.lengths,
-            tuple(TendonStage(s.b / 2, s.h / 2, s.stage_id) for s in base.stages),
+            tuple(TendonStage(s.b / 2, s.h / 2) for s in base.stages),
             base.springs, "slimmed", base.limits)
         d, n = meta["displacement_max"], meta["steps"]
         assert (kin.trajectory_metrics(sweep_trajectory(slimmed, d, n))["min_y"]

@@ -152,7 +152,6 @@ class TestAnalyze:
         assert rep.watertight
         assert rep.boundary_edge_count == 0
         assert rep.non_manifold_edge_count == 0
-        assert rep.bbox == ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 
     def test_cube_minus_one_face(self, unit_cube):
         open_cube = TriangleMesh(unit_cube.vertices, unit_cube.faces[1:])

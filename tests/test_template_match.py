@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from handforge import fixtures, mesh_io as mio, primitives
-from handforge.errors import BoneTooShort, ZeroReference
+from handforge.errors import BoneTooShort, BoneTooThin, ZeroReference
 from handforge.landmarks import BoneFrame, bone_frame, default_topology, load_landmarks
 from handforge.template_match import (
     SimilarityTransform,
@@ -97,7 +97,7 @@ class TestApply:
 
 @pytest.fixture(scope="module")
 def template_set():
-    return fixtures.make_template_set()
+    return fixtures.make_template_set(default_topology())
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +160,12 @@ class TestLigamentHoles:
         bone = primitives.cylinder((0, 0, 0), (0, 3.5, 0), 4.0)
         with pytest.raises(BoneTooShort):
             place_ligament_holes(bone, frame((0, 0), (0, 3.5)))
+
+    def test_no_width_along_the_drill(self):
+        # a flat triangle in the plane of the long axis and z: the hole has no depth
+        bone = mio.TriangleMesh(np.array([[0.0, 0, 0], [0, 30, 0], [0, 15, 3]]), np.array([[0, 1, 2]]))
+        with pytest.raises(BoneTooThin, match="flat_bone"):
+            place_ligament_holes(bone, frame((0, 0), (0, 30), "flat_bone"))
 
     def test_all_template_bones(self, template_set, topology):
         for bone_id in topology.bone_ids:
