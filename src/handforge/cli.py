@@ -9,6 +9,7 @@ any other exception, with its traceback.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -87,13 +88,17 @@ def _landmarks(data: bytes):
     return load_landmarks(json.loads(data))
 
 
-def _numbers(where: str, doc: dict, keys) -> None:
-    """Refuse a value of `keys` in doc that is not a JSON number or a list of
-    them: a boolean or a numeric string is not read as a number."""
+def _numbers(where: str, doc: dict, keys, count=None) -> None:
+    """Refuse a value of `keys` in doc that is not one JSON number, or given a
+    `count`, a list of that many: a boolean or a numeric string is not read
+    as a number."""
     for key in (key for key in keys if key in doc):
-        values = doc[key] if isinstance(doc[key], list) else [doc[key]]
-        if not all(type(x) in (int, float) for x in values):
-            raise click.UsageError(f"{where}: {key!r} must hold only numbers, got {json.dumps(doc[key])}")
+        values = [doc[key]] if count is None else doc[key]
+        if not (isinstance(values, list) and len(values) == (count or 1)
+                and all(type(x) in (int, float) for x in values)):
+            what = (f"{key!r} must be one number" if count is None
+                    else f"need {count} {key} values as a list of numbers")
+            raise click.UsageError(f"{where}: {what}, got {json.dumps(doc[key])}")
 
 
 def _tube_spec(cfg: dict, sigma=None) -> tissue_gen.TubeSpec:
@@ -101,7 +106,7 @@ def _tube_spec(cfg: dict, sigma=None) -> tissue_gen.TubeSpec:
     tube = {**cfg.get("tube", {}), **({} if sigma is None else {"sigma": sigma})}
     if "sigma" not in tube:
         raise click.UsageError("no sigma given (flag --sigma or config tube.sigma)")
-    _numbers("tube", tube, tube)
+    _numbers("tube", tube, (field.name for field in dataclasses.fields(tissue_gen.TubeSpec)))
     try:
         return tissue_gen.TubeSpec(**tube)
     except (TypeError, ValueError) as exc:
@@ -313,7 +318,7 @@ def _config_designs(doc, defaults: dict) -> dict:
     for name, entry in table.items():
         if not isinstance(entry, dict):
             raise click.UsageError(f"design {name!r} must be a JSON object")
-        _numbers(f"design {name!r}", {**defaults, **entry}, ("b", "h", "springs", "lengths", "limits"))
+        _numbers(f"design {name!r}", {**defaults, **entry}, ("b", "h", "springs", "lengths", "limits"), 3)
         try:
             configs[name] = kinematics.config_from_document(name, entry, defaults)
         except KeyError as exc:

@@ -25,7 +25,6 @@ from .errors import NonConvergence
 STAGE_WEIGHTS = (2.0, 1.0, 1.0)
 DEFAULT_LIMITS = (1.57, 1.92, 1.22)  # MCP, PIP, DIP flexion limits, rad
 RESIDUAL_TARGET = 1e-9  # mm, largest cable-length residual a solve may return
-MAX_BISECTIONS = 300  # the float64 bracket stops shrinking after about 60
 
 
 @dataclass
@@ -116,50 +115,43 @@ def max_displacement(cfg: FingerConfig) -> float:
 def _angles_at(cfg: FingerConfig, mu: float):
     """Pointwise minimizers of the displacement-penalized elastic energy.
 
-    Each joint solves min over [0, limit] of k/2*phi^2 - mu*w*e(phi);
-    continuous and nondecreasing in the multiplier mu.
+    Each joint solves min over [0, limit] of k/2*phi^2 - mu*w*e(phi). The
+    angles are nondecreasing in the multiplier mu, and continuous only when
+    every b > 0: a b = 0 joint jumps from 0 to its limit at mu = k/(2*w*h).
     """
     out = []
     for w, stage, k, lim in zip(STAGE_WEIGHTS, cfg.stages, cfg.springs, cfg.limits):
         a = k - 2.0 * mu * w * stage.h
-        if a <= 1e-12:
-            phi = lim
-        else:
-            phi = min(max(mu * w * stage.b / a, 0.0), lim)
-        out.append(phi)
+        out.append(lim if a <= 0 else min(mu * w * stage.b / a, lim))
     return out
 
 
 def solve_flexion(cfg: FingerConfig, cable_displacement: float) -> JointState:
     """Joint angles of minimum elastic energy matching the cable displacement.
 
-    Solved by bisecting the constraint multiplier (the multiplier-to-angles
-    map is continuous and monotone) until the bracket stops shrinking, then
-    polishing one interior joint so the constraint residual drops below
-    RESIDUAL_TARGET. The displacement must be finite and >= 0 (ValueError);
-    one beyond the all-limits excursion returns that pose, saturated.
-    Raises NonConvergence, naming the design, if the multiplier cannot be
-    bracketed or the residual stays above RESIDUAL_TARGET.
+    The displacement must be finite and >= 0 (ValueError); one beyond the
+    all-limits excursion returns that pose, saturated. Otherwise the
+    multiplier mu is bisected until lo and hi are adjacent floats. Each
+    operation in `_angles_at` and `_distal_length` is correctly rounded and
+    monotone on non-negative inputs, so the distal length f(mu) is
+    nondecreasing even in floats, and the bisection ends at the smallest
+    float mu with f(mu) >= the displacement, from any bracket. A residual
+    left there is a jump between lo and hi: a b = 0 joint's energy
+    (k/2 - mu*w*h)*phi^2 is flat in phi at its jump, so any angle of it is
+    optimal, and the joints that jump (two where k/(w*h) ties) take the
+    residual, largest jump first. Raises NonConvergence, naming the design,
+    if the residual stays above RESIDUAL_TARGET.
     """
     if not 0 <= cable_displacement < math.inf:
         raise ValueError(f"cable displacement must be finite and >= 0, got {cable_displacement}")
     if cable_displacement == 0.0:
         return JointState(0.0, 0.0, 0.0)
-    lmax = max_displacement(cfg)
-    if cable_displacement > lmax:
+    if cable_displacement > max_displacement(cfg):
         return JointState(*cfg.limits, saturated=True)
-    name = cfg.design_id or "finger"
     lo, hi = 0.0, 1.0
-    grow = 0
     while _distal_length(cfg, _angles_at(cfg, hi)) < cable_displacement:
-        hi *= 2.0
-        grow += 1
-        if grow > 200:
-            raise NonConvergence(f"{name}: multiplier bracket failed to expand")
-    for _ in range(MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # f(lo) < target <= f(hi) always, so no later step moves either end
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:  # f(lo) < target <= f(hi)
         if _distal_length(cfg, _angles_at(cfg, mid)) < cable_displacement:
             lo = mid
         else:
@@ -167,35 +159,20 @@ def solve_flexion(cfg: FingerConfig, cable_displacement: float) -> JointState:
     phis = _angles_at(cfg, hi)
     residual = cable_displacement - _distal_length(cfg, phis)
     if abs(residual) > RESIDUAL_TARGET:
-        phis = _polish(cfg, phis, cable_displacement)
-        residual = cable_displacement - _distal_length(cfg, phis)
-    if abs(residual) > RESIDUAL_TARGET:
-        raise NonConvergence(f"{name}: residual {residual:.3e} mm after polishing")
+        below = _angles_at(cfg, lo)
+        for j in sorted(range(3), key=lambda i: below[i] - phis[i]):
+            stage = cfg.stages[j]
+            phis[j] = 0.0
+            need = max((cable_displacement - _distal_length(cfg, phis)) / STAGE_WEIGHTS[j], 0.0)
+            # phi = 2*need/root solves (b + h*phi)*phi = need, without cancellation
+            root = stage.b + math.sqrt(stage.b ** 2 + 4.0 * stage.h * need)
+            phis[j] = min(2.0 * need / root, cfg.limits[j]) if root else 0.0
+            residual = cable_displacement - _distal_length(cfg, phis)
+            if abs(residual) <= RESIDUAL_TARGET:
+                break
+    if not abs(residual) <= RESIDUAL_TARGET:  # nan too: the multiplier overflowed
+        raise NonConvergence(f"{cfg.design_id or 'finger'}: residual {residual:.3e} mm")
     return JointState(*phis)
-
-
-def _polish(cfg: FingerConfig, phis, target):
-    """Absorb the leftover constraint residual into one interior joint by
-    solving its excursion quadratic exactly."""
-    phis = list(phis)
-    for j in range(3):
-        w, stage, lim = STAGE_WEIGHTS[j], cfg.stages[j], cfg.limits[j]
-        others = sum(
-            STAGE_WEIGHTS[i] * cfg.stages[i].excursion(phis[i]) for i in range(3) if i != j
-        )
-        need = (target - others) / w  # single-stage excursion this joint must produce
-        if need < 0:
-            continue
-        if stage.h > 0:
-            phi = (-stage.b + math.sqrt(stage.b ** 2 + 4.0 * stage.h * need)) / (2.0 * stage.h)
-        elif stage.b > 0:
-            phi = need / stage.b
-        else:
-            continue
-        if 0.0 <= phi <= lim:
-            phis[j] = phi
-            return phis
-    return phis
 
 
 def fingertip_position(cfg: FingerConfig, state: JointState) -> tuple[float, float]:

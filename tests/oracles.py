@@ -19,13 +19,27 @@ hold the new code to it.
   their reverses.
 - `misoriented_edges`: the tube builder's orientation count, directed-edge
   keys that repeat.
+- `solve_flexion`: the multiplier bisection with a 200-doubling bracket cap,
+  a 300-step cap, a 1e-12 window in `_angles_at` and `_polish`, which puts
+  the residual into the first joint that can take it. Where every b > 0 it
+  returns the solver's bits; with a b = 0 stage it can miss the minimum.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from handforge.errors import MeshInvariantError
+from handforge.errors import MeshInvariantError, NonConvergence
+from handforge.kinematics import (
+    RESIDUAL_TARGET,
+    STAGE_WEIGHTS,
+    FingerConfig,
+    JointState,
+    _distal_length,
+    max_displacement,
+)
 from handforge.mesh_io import TriangleMesh
 
 
@@ -303,3 +317,91 @@ def closed(faces: np.ndarray, vertex_count: int) -> bool:
 def misoriented_edges(faces: np.ndarray, vertex_count: int) -> int:
     key = faces * vertex_count + np.roll(faces, -1, axis=1)  # directed edges
     return key.size - len(np.unique(key))  # every edge is in two faces, so a repeat is a misoriented pair
+
+
+MAX_BISECTIONS = 300  # the float64 bracket stops shrinking after about 60
+
+
+def _angles_at(cfg: FingerConfig, mu: float):
+    """Pointwise minimizers of the displacement-penalized elastic energy.
+
+    Each joint solves min over [0, limit] of k/2*phi^2 - mu*w*e(phi);
+    continuous and nondecreasing in the multiplier mu.
+    """
+    out = []
+    for w, stage, k, lim in zip(STAGE_WEIGHTS, cfg.stages, cfg.springs, cfg.limits):
+        a = k - 2.0 * mu * w * stage.h
+        if a <= 1e-12:
+            phi = lim
+        else:
+            phi = min(max(mu * w * stage.b / a, 0.0), lim)
+        out.append(phi)
+    return out
+
+
+def solve_flexion(cfg: FingerConfig, cable_displacement: float) -> JointState:
+    """Joint angles of minimum elastic energy matching the cable displacement.
+
+    Solved by bisecting the constraint multiplier (the multiplier-to-angles
+    map is continuous and monotone) until the bracket stops shrinking, then
+    polishing one interior joint so the constraint residual drops below
+    RESIDUAL_TARGET. The displacement must be finite and >= 0 (ValueError);
+    one beyond the all-limits excursion returns that pose, saturated.
+    Raises NonConvergence, naming the design, if the multiplier cannot be
+    bracketed or the residual stays above RESIDUAL_TARGET.
+    """
+    if not 0 <= cable_displacement < math.inf:
+        raise ValueError(f"cable displacement must be finite and >= 0, got {cable_displacement}")
+    if cable_displacement == 0.0:
+        return JointState(0.0, 0.0, 0.0)
+    lmax = max_displacement(cfg)
+    if cable_displacement > lmax:
+        return JointState(*cfg.limits, saturated=True)
+    name = cfg.design_id or "finger"
+    lo, hi = 0.0, 1.0
+    grow = 0
+    while _distal_length(cfg, _angles_at(cfg, hi)) < cable_displacement:
+        hi *= 2.0
+        grow += 1
+        if grow > 200:
+            raise NonConvergence(f"{name}: multiplier bracket failed to expand")
+    for _ in range(MAX_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # f(lo) < target <= f(hi) always, so no later step moves either end
+        if _distal_length(cfg, _angles_at(cfg, mid)) < cable_displacement:
+            lo = mid
+        else:
+            hi = mid
+    phis = _angles_at(cfg, hi)
+    residual = cable_displacement - _distal_length(cfg, phis)
+    if abs(residual) > RESIDUAL_TARGET:
+        phis = _polish(cfg, phis, cable_displacement)
+        residual = cable_displacement - _distal_length(cfg, phis)
+    if abs(residual) > RESIDUAL_TARGET:
+        raise NonConvergence(f"{name}: residual {residual:.3e} mm after polishing")
+    return JointState(*phis)
+
+
+def _polish(cfg: FingerConfig, phis, target):
+    """Absorb the leftover constraint residual into one interior joint by
+    solving its excursion quadratic exactly."""
+    phis = list(phis)
+    for j in range(3):
+        w, stage, lim = STAGE_WEIGHTS[j], cfg.stages[j], cfg.limits[j]
+        others = sum(
+            STAGE_WEIGHTS[i] * cfg.stages[i].excursion(phis[i]) for i in range(3) if i != j
+        )
+        need = (target - others) / w  # single-stage excursion this joint must produce
+        if need < 0:
+            continue
+        if stage.h > 0:
+            phi = (-stage.b + math.sqrt(stage.b ** 2 + 4.0 * stage.h * need)) / (2.0 * stage.h)
+        elif stage.b > 0:
+            phi = need / stage.b
+        else:
+            continue
+        if 0.0 <= phi <= lim:
+            phis[j] = phi
+            return phis
+    return phis

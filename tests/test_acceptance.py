@@ -166,6 +166,38 @@ def test_06_solver_vs_brute_force():
         assert elapsed < 60.0, f"took {elapsed:.1f} s"
 
 
+def test_06_solver_vs_brute_force_with_b_zero_stages():
+    with criterion(6, "flexion solver matches the brute-force energy minimum where a stage has b = 0"):
+        # a b = 0 joint's minimizer jumps from 0 to its limit as the multiplier
+        # crosses k / (2wh); criterion 6's draws, with b = 0 drawn per joint
+        rng = np.random.default_rng(67)
+        wp, wi, wd = STAGE_WEIGHTS
+        for _ in range(100):
+            b = rng.uniform(1, 12, 3)
+            b[rng.random(3) < 0.5] = 0.0
+            cfg = FingerConfig(
+                (45.0, 25.0, 20.0),
+                tuple(TendonStage(x, y) for x, y in zip(b, rng.uniform(0.2, 3, 3))),
+                tuple(rng.uniform(5, 60, 3)),
+            )
+            d = float(rng.uniform(0.1, 0.9)) * kin.max_displacement(cfg)
+            state = kin.solve_flexion(cfg, d)
+            _, _, ld = kin.cumulative_excursion(cfg, state)
+            assert abs(ld - d) < 1e-9
+            energy = 0.5 * sum(k * p * p for k, p in zip(cfg.springs, state.angles))
+            # 600 x 600 lattice over the two proximal joints, distal angle solved
+            # exactly from the cable constraint (h > 0, so b = 0 is solvable)
+            sp, si, sd = cfg.stages
+            pp, pi = np.meshgrid(np.linspace(0.0, cfg.limits[0], 600),
+                                 np.linspace(0.0, cfg.limits[1], 600), indexing="ij")
+            need = (d - wp * sp.excursion(pp) - wi * si.excursion(pi)) / wd
+            pd = (-sd.b + np.sqrt(sd.b ** 2 + 4.0 * sd.h * np.maximum(need, 0.0))) / (2.0 * sd.h)
+            feasible = (need >= 0) & (pd <= cfg.limits[2] + 1e-12)
+            lattice = 0.5 * (cfg.springs[0] * pp * pp + cfg.springs[1] * pi * pi
+                             + cfg.springs[2] * np.minimum(pd, cfg.limits[2]) ** 2)
+            assert energy <= lattice[feasible].min() + 1e-3
+
+
 def test_07_trajectory_shape():
     with criterion(7, "preset trajectories curl monotonically; baseline is shallowest"):
         configs, meta = kin.load_presets()

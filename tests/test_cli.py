@@ -634,6 +634,15 @@ MALFORMED = {
     "design default limit is a boolean": (2, "limits", lambda root, cfg, tmp: [
         "simulate", "--config", _designs_config(tmp, defaults={"limits": [True, 1.9, 1.2]}),
         "--out", str(tmp / "out")]),
+    "tube sigma is a list": (2, "'sigma' must be one number", lambda root, cfg, tmp: [
+        "validate", "--config", _config_with(tmp, cfg, tube={**cfg["tube"], "sigma": [0.4]})]),
+    "tube support radius is a list": (2, "'support_radius' must be one number", lambda root, cfg, tmp: [
+        "gen-tissue", "--config", _config_with(tmp, cfg, tube={**cfg["tube"], "support_radius": [0.5, 1]}),
+        "--bone-id", "index_distal"]),
+    "design b is a number": (2, "need 3 b values", lambda root, cfg, tmp: [
+        "simulate", "--config", _designs_config(tmp, b=5), "--out", str(tmp / "out")]),
+    "design default lengths are a number": (2, "need 3 lengths values", lambda root, cfg, tmp: [
+        "simulate", "--config", _designs_config(tmp, defaults={"lengths": 45}), "--out", str(tmp / "out")]),
     "template bone has no width": (1, "thumb_metacarpal", lambda root, cfg, tmp: [
         "fit-bones", "--config", _config_with(tmp, cfg, template_dir=_template_with_flat_bone(
             root, tmp, "thumb_metacarpal")), "--out", str(tmp / "out")]),

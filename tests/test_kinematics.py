@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from handforge import kinematics as kin
 from handforge.errors import NonConvergence
 from handforge.kinematics import (
@@ -178,6 +180,77 @@ class TestSolveFlexion:
             rate = max(abs(x - y) for x, y in zip(a, b)) / step
             # bounded by ~1/(w*b_min) with generous slack
             assert rate < 10.0 / min(s.b for s in cfg.stages)
+
+    def test_b_zero_stage_reaches_the_minimum(self):
+        # the PIP joint jumps from 0 to its limit at mu = k/(2wh), where its
+        # energy is flat, so it takes the residual; a 600 x 600 lattice
+        # finds 68.3 N*mm, and the oracle solver, which puts the residual
+        # into the first joint that can take it, 134.7
+        cfg = make_config(b=(4.14, 0.0, 5.87), h=(0.786, 2.734, 0.247), springs=(21.69, 59.95, 19.42))
+        state = solve_flexion(cfg, 26.87)
+        assert kin._distal_length(cfg, state.angles) == pytest.approx(26.87, abs=1e-9)
+        assert elastic_energy(cfg, state.angles) <= 68.3
+
+    def test_tied_b_zero_stages_share_the_residual(self):
+        # PIP and DIP both jump at mu = k/(2wh) = 1, so one joint cannot
+        # always take the whole residual
+        cfg = make_config(b=(8.0, 0.0, 0.0), h=(2.0, 1.0, 1.0), springs=(30.0, 2.0, 2.0))
+        for d in np.linspace(0.0, max_displacement(cfg), 200)[1:-1]:
+            state = solve_flexion(cfg, float(d))
+            assert kin._distal_length(cfg, state.angles) == pytest.approx(d, abs=1e-9)
+            assert elastic_energy(cfg, state.angles) <= elastic_energy(
+                cfg, oracles.solve_flexion(cfg, float(d)).angles) + 1e-9
+
+    def test_stiff_springs_solve(self):
+        # scaling every spring by one factor keeps the minimizer
+        d = 0.5 * max_displacement(make_config())
+        stiff = solve_flexion(make_config(springs=(5e69, 4e69, 3e69)), d)
+        assert stiff.angles == pytest.approx(solve_flexion(make_config(), d).angles, rel=1e-12)
+
+    def test_overflowing_multiplier_is_refused(self):
+        # the multiplier needed is about 5e307, and 2*mu*w*h overflows to
+        # inf * 0 = nan on the way
+        cfg = make_config(b=(1.0, 1.0, 1.0), h=(0.0, 0.0, 0.0), springs=(1e308, 1e308, 1e308))
+        with pytest.raises(NonConvergence, match="test: residual nan"):
+            solve_flexion(cfg, 0.5 * max_displacement(cfg))
+
+
+@st.composite
+def solves(draw, b_zero):
+    """A wide design and a displacement of 0, or 1e-9 to 1.05 times its
+    all-limits one; with `b_zero`, one or more stages have b = 0 (and h > 0).
+    Far below 1e-9 the oracle solver's 300-step cap ends its bisection
+    early: at d = 3e-251 mm it returns angles of 1e-91 rad."""
+    b = [draw(st.floats(0.01, 20.0)) for _ in range(3)]
+    if b_zero:
+        for j in draw(st.sets(st.integers(0, 2), min_size=1)):
+            b[j] = 0.0
+    h = [draw(st.floats(0.0, 5.0) if bj > 0 else st.floats(0.01, 5.0)) for bj in b]
+    cfg = make_config(b=b, h=h, springs=[draw(st.floats(1.0, 100.0)) for _ in range(3)])
+    return cfg, draw(st.just(0.0) | st.floats(1e-9, 1.05)) * max_displacement(cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(solves(b_zero=False))
+def test_b_positive_designs_match_the_oracle_solver(solve):
+    # where every b > 0 the multiplier map is continuous, and the bisection
+    # ends at the float the oracle's capped bisection ends at
+    cfg, d = solve
+    assert solve_flexion(cfg, d) == oracles.solve_flexion(cfg, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(solves(b_zero=True))
+def test_b_zero_designs_no_worse_than_the_oracle_solver(solve):
+    cfg, d = solve
+    state = solve_flexion(cfg, d)
+    assert kin._distal_length(cfg, state.angles) == pytest.approx(min(d, max_displacement(cfg)), abs=1e-9)
+    try:
+        oracle = oracles.solve_flexion(cfg, d)
+    except NonConvergence:  # no joint could take the oracle's whole residual
+        return
+    assert state.saturated == oracle.saturated
+    assert elastic_energy(cfg, state.angles) <= elastic_energy(cfg, oracle.angles) + 1e-9
 
 
 class TestForwardKinematics:
